@@ -35,6 +35,7 @@ from .constructions import (
 )
 from .linalg import DEFAULT_COSET_BUDGET
 from .selfdual import (
+    PowerSumSystems,
     ScanEntry,
     ScanReport,
     criterion_direct,
@@ -283,13 +284,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _scan_chunk(payload) -> List[Dict]:
-    """Worker body: run find_multipliers over a chunk of locator subsets."""
+    """Worker body: search a chunk of locator subsets with shared columns."""
     p, m, n, extended, budget, subsets = payload
     field = make_field(p, m)
+    systems = PowerSumSystems(field, n, extended)
     out = []
     for values in subsets:
         locators = tuple(field.element(v) for v in values)
-        code = find_multipliers(field, locators, extended=extended, budget=budget)
+        code = systems.find(locators, budget)
         out.append(
             {
                 "locators": values,
@@ -438,13 +440,14 @@ def sweep_conditional_theorem(
                 continue
             span_count = exists_count = both = 0
             tested = 0
+            systems = PowerSumSystems(field, n, extended)
             for subset in itertools.combinations(ordered, n):
                 span = (
                     span_condition_extended(field, subset)
                     if extended
                     else span_condition_plain(field, subset)
                 )
-                code = find_multipliers(field, subset, extended=extended, budget=budget)
+                code = systems.find(subset, budget)
                 exists = code is not None
                 tested += 1
                 span_count += span.holds

@@ -13,6 +13,10 @@ class BudgetError(HermgrsError):
     """An exhaustive enumeration would exceed its configured budget."""
 
 
+class InternalConsistencyError(HermgrsError):
+    """A result failed the independent re-check it carries as a proof."""
+
+
 class CompositeCharacteristic(InputError):
     pass
 

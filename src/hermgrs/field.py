@@ -18,8 +18,9 @@ x^2 + 2x + 2, matching the usual table value.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (
     CompositeCharacteristic,
@@ -285,6 +286,11 @@ class Field:
         assert d % (self.q + 1) == 0, "norm preimage must exist"
         return self.from_dlog(d // (self.q + 1))
 
+    @functools.cached_property
+    def subfield_tables(self) -> "SubfieldTables":
+        """Integer arithmetic over GF(q), built on first use and kept."""
+        return SubfieldTables(self)
+
     # ----- presentation -----
 
     def format_element(self, x: Element) -> str:
@@ -317,6 +323,74 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(GF({self.q}^2), modulus={list(self.modulus)})"
+
+
+class SubfieldTables:
+    """GF(q) arithmetic on compact indices, and the split of GF(q^2) into it.
+
+    The compact index of a subfield element is its rank among the canonical
+    indices of GF(q) in ascending order: 0 is zero, 1 is one, and comparing
+    compact indices compares canonical ones.  `add[a][b]` and `mul[a][b]`
+    are rows of q entries (bytes while q <= 256); `neg[a]`, `inv[a]` and
+    `values[a]` (the canonical index) have one entry per element.  In all,
+    O(q^2) small ints.
+    """
+
+    def __init__(self, field: Field):
+        q, p = field.q, field.p
+        exp, log = field._exp, field._log
+        self.field = field
+        self.q = q
+        # GF(q)* is generated by g = theta^(q+1)
+        units = [exp[(q + 1) * t] for t in range(q - 1)]
+        self.values: List[int] = sorted([0] + units)
+        self.compact: Dict[int, int] = {v: c for c, v in enumerate(self.values)}
+        g_exp = [self.compact[v] for v in units]
+        g_log = [0] * q
+        for t, c in enumerate(g_exp):
+            g_log[c] = t
+        row = bytes if q <= 256 else tuple
+        self.mul = [row([0] * q)] + [
+            row([0] + [g_exp[(g_log[a] + g_log[b]) % (q - 1)] for b in range(1, q)])
+            for a in range(1, q)
+        ]
+        self.inv = [0] + [g_exp[-g_log[a] % (q - 1)] for a in range(1, q)]
+        self.neg = [self.compact[field._neg_table[v]] for v in self.values]
+        # 1 + v changes only the constant digit of the canonical index
+        one_plus = [
+            self.compact[v - v % p + (v % p + 1) % p] for v in self.values
+        ]
+        # a + b = a * (1 + b/a)
+        self.add = [row(range(q))]
+        for a in range(1, q):
+            times_a, over_a = self.mul[a], self.mul[self.inv[a]]
+            self.add.append(row([times_a[one_plus[over_a[b]]] for b in range(q)]))
+        theta = field.p
+        theta_q = exp[q % (field.order - 1)]
+        self._log_inv_den = -log[field._add_idx(theta, field._neg_table[theta_q])]
+
+    def split(self, v: int) -> Tuple[int, int]:
+        """Compact (x0, x1) with x = x0 + theta*x1, for x of canonical index v.
+
+        x1 = (x - x^q) / (theta - theta^q) and x0 = x - theta*x1.
+        """
+        if v == 0:
+            return 0, 0
+        field = self.field
+        exp, log, neg = field._exp, field._log, field._neg_table
+        n = field.order - 1
+        diff = field._add_idx(v, neg[exp[log[v] * self.q % n]])
+        if diff == 0:
+            return self.compact[v], 0
+        x1 = exp[(log[diff] + self._log_inv_den) % n]
+        x0 = field._add_idx(v, neg[exp[(log[x1] + 1) % n]])
+        return self.compact[x0], self.compact[x1]
+
+    def split_vector(self, values: Iterable[int]) -> List[int]:
+        """The x0-components of the entries (canonical indices), then their
+        x1-components."""
+        comps = [self.split(v) for v in values]
+        return [c[0] for c in comps] + [c[1] for c in comps]
 
 
 def make_field(p: int, m: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:

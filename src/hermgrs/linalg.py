@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import EnumerationBudgetExceeded
-from .field import Element, Field
+from .errors import EnumerationBudgetExceeded, InternalConsistencyError
+from .field import Element, Field, SubfieldTables
 
 DEFAULT_COSET_BUDGET = 10 ** 7
 
@@ -67,10 +67,9 @@ class Matrix:
 
 @dataclass
 class SubfieldSolution:
-    """A vector in (GF(q)*)^n solving M x = b, with its residual check."""
+    """A vector in (GF(q)*)^n solving M x = b, checked over GF(q^2)."""
 
     x: Vector
-    residual_ok: bool
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, int, List[int]]:
@@ -98,21 +97,6 @@ def rref(mat: Matrix) -> Tuple[Matrix, int, List[int]]:
     return Matrix(field, rows), len(pivots), pivots
 
 
-def null_space(mat: Matrix) -> List[Vector]:
-    """A basis of the right kernel of `mat`, one vector per free column."""
-    field = mat.field
-    reduced, rank, pivots = rref(mat)
-    free = [c for c in range(mat.ncols) if c not in pivots]
-    basis: List[Vector] = []
-    for fc in free:
-        vec = [field.zero] * mat.ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def solve(mat: Matrix, b: Vector) -> Optional[Vector]:
     """One particular solution of M x = b (free variables zero), or None."""
     field = mat.field
@@ -124,6 +108,7 @@ def solve(mat: Matrix, b: Vector) -> Optional[Vector]:
     for r, pc in enumerate(pivots):
         x[pc] = reduced.rows[r][mat.ncols]
     return x
+
 
 def matvec(mat: Matrix, x: Vector) -> Vector:
     field = mat.field
@@ -160,31 +145,102 @@ def det(mat: Matrix) -> Element:
     return result
 
 
-def subfield_components(x: Element) -> Tuple[Element, Element]:
-    """Write x = x0 + theta*x1 with x0, x1 in GF(q) (basis {1, theta})."""
-    field = x.field
-    theta = field.theta
-    x1 = (x - field.frobenius(x)) / (theta - field.frobenius(theta))
-    x0 = x - theta * x1
-    return x0, x1
-
-
-def split_to_subfield(mat: Matrix, b: Vector) -> Tuple[Matrix, Vector]:
+def split_system(mat: Matrix, b: Vector) -> Tuple[List[List[int]], List[int]]:
     """Stack the {1, theta}-components of M x = b into a system over GF(q).
 
-    For x with all coordinates in GF(q), M x = b over GF(q^2) holds iff the
-    returned 2r x n system does over GF(q).
+    Entries are compact GF(q) indices (see `SubfieldTables`).  For x with all
+    coordinates in GF(q), M x = b over GF(q^2) holds iff the returned
+    2r x n system does over GF(q).
     """
+    tables = mat.field.subfield_tables
     rows0, rows1 = [], []
-    b0, b1 = [], []
-    for row, bi in zip(mat.rows, b):
-        comps = [subfield_components(e) for e in row]
+    for row in mat.rows:
+        comps = [tables.split(e.value) for e in row]
         rows0.append([c[0] for c in comps])
         rows1.append([c[1] for c in comps])
-        bc = subfield_components(bi)
-        b0.append(bc[0])
-        b1.append(bc[1])
-    return Matrix(mat.field, rows0 + rows1), b0 + b1
+    return rows0 + rows1, tables.split_vector(bi.value for bi in b)
+
+
+def solve_split_nonzero(
+    tables: SubfieldTables,
+    rows: Iterable[Sequence[int]],
+    rhs: Iterable[int],
+    n: int,
+    budget: int = DEFAULT_COSET_BUDGET,
+) -> Optional[List[int]]:
+    """The lexicographically smallest x in (GF(q)*)^n with A x = c, or None.
+
+    A (rows, n columns) and c (rhs) hold compact GF(q) indices, and so does
+    the returned x.  One augmented elimination gives both the particular
+    solution and the kernel.  It takes the rows one at a time into a
+    reduced row-echelon basis, and stops early once no solution can remain
+    in (GF(q)*)^n: when a row reduces to 0 = c with c nonzero, or when every
+    column has a pivot and the one solution left has a zero coordinate.
+    The affine solution coset is then enumerated in ascending order of the
+    free coordinates, leaving out only the vectors whose free coordinates
+    are zero, since they cannot be in (GF(q)*)^n.  A None return is
+    therefore a proof of non-existence for this system.
+    """
+    add, mul, neg, inv = tables.add, tables.mul, tables.neg, tables.inv
+    reduced: Dict[int, List[int]] = {}  # pivot column -> row, pivot entry 1
+    for row, c in zip(rows, rhs):
+        r = list(row)
+        r.append(c)
+        for col, prow in reduced.items():
+            factor = r[col]
+            if factor:
+                scale = mul[neg[factor]]
+                r = [add[e][scale[g]] for e, g in zip(r, prow)]
+        lead = next((j for j, e in enumerate(r) if e), None)
+        if lead is None:
+            continue
+        if lead == n:
+            return None  # inconsistent
+        if r[lead] != 1:
+            scale = mul[inv[r[lead]]]
+            r = [scale[e] for e in r]
+        for col, prow in reduced.items():
+            factor = prow[lead]
+            if factor:
+                scale = mul[neg[factor]]
+                reduced[col] = [add[e][scale[g]] for e, g in zip(prow, r)]
+        reduced[lead] = r
+        if len(reduced) == n and any(prow[n] == 0 for prow in reduced.values()):
+            return None  # the unique solution has a zero coordinate
+    free = [c for c in range(n) if c not in reduced]
+    q = tables.q
+    if q ** len(free) > budget:
+        raise EnumerationBudgetExceeded(
+            f"coset of size {q}^{len(free)} exceeds budget {budget}"
+        )
+    particular = [0] * n
+    basis = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        basis.append(vec)
+    for pc, prow in reduced.items():
+        particular[pc] = prow[n]
+        for vec, fc in zip(basis, free):
+            vec[pc] = neg[prow[fc]]
+    best: Optional[List[int]] = None
+    for coeffs in itertools.product(range(1, q), repeat=len(free)):
+        x = particular
+        for c, vec in zip(coeffs, basis):
+            scale = mul[c]
+            x = [add[xi][scale[vi]] for xi, vi in zip(x, vec)]
+        if 0 not in x and (best is None or x < best):
+            best = x
+    return best
+
+
+def check_subfield_solution(mat: Matrix, b: Vector, x: Vector) -> None:
+    """Raise unless x lies in (GF(q)*)^n and M x = b holds over GF(q^2)."""
+    field = mat.field
+    if not all(xi and field.in_subfield(xi) for xi in x):
+        raise InternalConsistencyError("subfield solution has a coordinate outside GF(q)*")
+    if any((ri - bi).value for ri, bi in zip(matvec(mat, x), b)):
+        raise InternalConsistencyError("subfield solution failed its residual check")
 
 
 def solve_in_subfield_nonzero(
@@ -194,41 +250,20 @@ def solve_in_subfield_nonzero(
 ) -> Optional[SubfieldSolution]:
     """Find x in (GF(q)*)^n with M x = b, or prove none exists.
 
-    The split system over GF(q) is solved exactly; the affine coset
-    (particular solution + kernel) is enumerated in full, so a None return
-    is a proof of non-existence for this system.  Among all solutions the
-    lexicographically smallest by canonical element index is returned.
+    The system is split into its {1, theta}-components over GF(q) and solved
+    on compact GF(q) indices by `solve_split_nonzero`, whose tables are built
+    once per field on first use.  The whole affine solution coset is
+    enumerated, so a None return is a proof of non-existence for this
+    system.  Among all solutions the lexicographically smallest by canonical
+    element index is returned, after it is checked against M x = b over
+    GF(q^2); a failed check raises InternalConsistencyError.
     """
     field = mat.field
-    q = field.q
-    n = mat.ncols
-    sub_mat, sub_b = split_to_subfield(mat, b)
-    particular = solve(sub_mat, sub_b)
-    if particular is None:
+    tables = field.subfield_tables
+    rows, rhs = split_system(mat, b)
+    x = solve_split_nonzero(tables, rows, rhs, mat.ncols, budget)
+    if x is None:
         return None
-    basis = null_space(sub_mat)
-    d = len(basis)
-    if q ** d > budget:
-        raise EnumerationBudgetExceeded(
-            f"coset of size {q}^{d} exceeds budget {budget}"
-        )
-    subfield = field.subfield_elements()  # ascending canonical index
-    best: Optional[Vector] = None
-    best_key: Optional[Tuple[int, ...]] = None
-    for coeffs in itertools.product(subfield, repeat=d):
-        x = list(particular)
-        for c, vec in zip(coeffs, basis):
-            if c:
-                x = [xi + c * vi for xi, vi in zip(x, vec)]
-        if any(not xi for xi in x):
-            continue
-        key = tuple(xi.value for xi in x)
-        if best_key is None or key < best_key:
-            best, best_key = x, key
-    if best is None:
-        return None
-    residual_ok = all(
-        (ri - bi).value == 0 for ri, bi in zip(matvec(mat, best), b)
-    ) and all(field.in_subfield(xi) and xi for xi in best)
-    assert residual_ok, "subfield solution failed its residual check"
-    return SubfieldSolution(x=best, residual_ok=residual_ok)
+    solution = [field.element(tables.values[c]) for c in x]
+    check_subfield_solution(mat, b, solution)
+    return SubfieldSolution(x=solution)

@@ -20,16 +20,16 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, DuplicateLocator
+from .errors import DimensionMismatch, DuplicateLocator, InternalConsistencyError
 from .field import Element, Field
 from .grs import CodeSpec, hermitian_gram, u_vector
 from .linalg import (
     DEFAULT_COSET_BUDGET,
     Matrix,
+    check_subfield_solution,
     matvec,
-    rref,
     solve,
-    solve_in_subfield_nonzero,
+    solve_split_nonzero,
 )
 from .poly import interpolate
 
@@ -133,6 +133,25 @@ def _locator_power(f: Field, a: Element, e: int) -> Element:
     return f.from_dlog(f.dlog(a) * e)
 
 
+def _grid_exponents(q: int, n: int, extended: bool) -> List[int]:
+    """The exponents i + jq of the criterion rows, checking n's parity."""
+    if extended:
+        if n % 2 == 0:
+            raise DimensionMismatch("extended criterion needs odd n")
+        side = (n + 1) // 2
+    else:
+        if n % 2:
+            raise DimensionMismatch("plain criterion needs even n")
+        side = n // 2
+    return [i + j * q for j in range(side) for i in range(side)]
+
+
+def _check_distinct(locators: Sequence[Element]) -> None:
+    values = [a.value for a in locators]
+    if len(set(values)) != len(values):
+        raise DuplicateLocator("locators must be distinct")
+
+
 def build_criterion_matrix(
     field: Field, locators: Sequence[Element], extended: bool
 ) -> CriterionMatrix:
@@ -142,21 +161,8 @@ def build_criterion_matrix(
     ((n+1)/2)^2 rows, right-hand side zero except -1 on the final row
     (exponent ((n-1)/2)(q+1)).
     """
-    values = [a.value for a in locators]
-    if len(set(values)) != len(values):
-        raise DuplicateLocator("locators must be distinct")
-    n = len(locators)
-    q = field.q
-    if extended:
-        if n % 2 == 0:
-            raise DimensionMismatch("extended criterion needs odd n")
-        half = (n - 1) // 2
-        exponents = [i + j * q for j in range(half + 1) for i in range(half + 1)]
-    else:
-        if n % 2:
-            raise DimensionMismatch("plain criterion needs even n")
-        half = n // 2
-        exponents = [i + j * q for j in range(half) for i in range(half)]
+    _check_distinct(locators)
+    exponents = _grid_exponents(field.q, len(locators), extended)
     rows = [
         [_locator_power(field, a, e) for a in locators] for e in exponents
     ]
@@ -164,6 +170,63 @@ def build_criterion_matrix(
     if extended:
         rhs[-1] = field.minus_one
     return CriterionMatrix(Matrix(field, rows), rhs, exponents)
+
+
+class PowerSumSystems:
+    """The power-sum systems of the n-subsets of a locator pool, over GF(q).
+
+    Row e of a system holds the locators' powers alpha^e, split into their
+    {1, theta}-components.  Those components depend on the locator alone,
+    so each locator's split column is computed once and a subset's system
+    is a selection of columns.  The GF(q^2) criterion matrix is built only
+    for a subset whose system has a solution, to re-check it.
+    """
+
+    def __init__(self, field: Field, n: int, extended: bool):
+        self.field = field
+        self.n = n
+        self.extended = extended
+        self.tables = field.subfield_tables
+        self.exponents = _grid_exponents(field.q, n, extended)
+        rhs = [0] * len(self.exponents)
+        if extended:
+            rhs[-1] = field.minus_one.value
+        self.rhs = self.tables.split_vector(rhs)
+        self._columns: Dict[int, List[int]] = {}
+
+    def _column(self, a: Element) -> List[int]:
+        column = self._columns.get(a.value)
+        if column is None:
+            column = self._columns[a.value] = self.tables.split_vector(
+                _locator_power(self.field, a, e).value for e in self.exponents
+            )
+        return column
+
+    def find(
+        self, locators: Sequence[Element], budget: int = DEFAULT_COSET_BUDGET
+    ) -> Optional[CodeSpec]:
+        """find_multipliers for one n-subset of the pool."""
+        if len(locators) != self.n:
+            raise DimensionMismatch(f"expected {self.n} locators, got {len(locators)}")
+        _check_distinct(locators)
+        rows = zip(*(self._column(a) for a in locators))
+        x = solve_split_nonzero(self.tables, rows, self.rhs, self.n, budget)
+        if x is None:
+            return None
+        field = self.field
+        solution = [field.element(self.tables.values[c]) for c in x]
+        crit = build_criterion_matrix(field, locators, self.extended)
+        check_subfield_solution(crit.matrix, crit.rhs, solution)
+        code = CodeSpec(
+            field=field,
+            locators=tuple(locators),
+            multipliers=tuple(field.solve_norm(xi) for xi in solution),
+            k=(self.n + 1) // 2 if self.extended else self.n // 2,
+            extended=self.extended,
+        )
+        if not criterion_direct(code):
+            raise InternalConsistencyError("norm lifting produced a non-self-dual code")
+        return code
 
 
 def find_multipliers(
@@ -177,23 +240,10 @@ def find_multipliers(
     Solves the power-sum system for x in (GF(q)*)^n and lifts each x_i to a
     norm preimage v_i.  Returns None only after the whole solution coset has
     been exhausted, so None certifies non-existence for this locator vector.
+    A found code is re-checked by the residual over GF(q^2) and by its Gram
+    matrix; a failed re-check raises InternalConsistencyError.
     """
-    crit = build_criterion_matrix(field, locators, extended)
-    sol = solve_in_subfield_nonzero(crit.matrix, crit.rhs, budget=budget)
-    if sol is None:
-        return None
-    multipliers = tuple(field.solve_norm(xi) for xi in sol.x)
-    n = len(locators)
-    k = (n + 1) // 2 if extended else n // 2
-    code = CodeSpec(
-        field=field,
-        locators=tuple(locators),
-        multipliers=multipliers,
-        k=k,
-        extended=extended,
-    )
-    assert criterion_direct(code), "norm lifting produced a non-self-dual code"
-    return code
+    return PowerSumSystems(field, len(locators), extended).find(locators, budget)
 
 
 def _span_membership(
@@ -315,7 +365,8 @@ def existence_scan(
     """Run find_multipliers over every n-subset of the pool.
 
     Subsets are canonicalized to ascending canonical index; the criteria are
-    permutation-invariant, so this loses no generality.
+    permutation-invariant, so this loses no generality.  The subsets share
+    one PowerSumSystems, so each locator's split column is computed once.
     """
     ordered = sorted(pool, key=lambda a: a.value)
     k = (n + 1) // 2 if extended else n // 2
@@ -326,8 +377,9 @@ def existence_scan(
         extended=extended,
         pool_description=pool_description or f"{len(ordered)} elements",
     )
+    systems = PowerSumSystems(field, n, extended)
     for subset in itertools.combinations(ordered, n):
-        code = find_multipliers(field, subset, extended=extended, budget=budget)
+        code = systems.find(subset, budget)
         if code is None:
             report.entries.append(ScanEntry(subset, False))
         else:

@@ -28,7 +28,7 @@ from hermgrs import (
     u_vector,
 )
 from hermgrs.cli import sweep_conditional_theorem
-from hermgrs.linalg import matvec, solve_in_subfield_nonzero, split_to_subfield
+from hermgrs.linalg import matvec, solve_in_subfield_nonzero
 from hermgrs.poly import Poly
 
 from util import (
@@ -39,6 +39,7 @@ from util import (
     random_element,
     random_locators,
     random_matrix,
+    split_to_subfield,
 )
 
 

@@ -1,10 +1,14 @@
 """Self-duality criteria, multiplier search, span conditions, and scans."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hermgrs
 from hermgrs import (
     CodeSpec,
     build_criterion_matrix,
@@ -19,10 +23,12 @@ from hermgrs import (
 )
 from hermgrs.errors import DimensionMismatch, DuplicateLocator
 from hermgrs.linalg import rref
+from hermgrs.selfdual import ScanEntry, ScanReport
 
 from util import (
     brute_force_multiplier_exists,
     get_field,
+    oracle_subfield_solve,
     random_code,
     random_locators,
 )
@@ -261,3 +267,98 @@ def test_existence_scan_to_dict():
     assert data["q"] == 3 and data["n"] == 2 and data["pool"] == "trace-zero"
     assert data["totals"]["tested"] == 3
     assert len(data["entries"]) == 3
+
+
+def _union_pool(f):
+    merged = {x.value: x for x in f.subfield_elements()}
+    merged.update({x.value: x for x in f.trace_zero_set()})
+    return [merged[v] for v in sorted(merged)]
+
+
+@pytest.mark.parametrize(
+    "q, pool_name, n, extended",
+    [
+        (3, "all", 4, False),
+        (3, "all", 3, True),
+        (4, "subfield-union-trace-zero", 2, False),
+        (4, "subfield-union-trace-zero", 4, False),
+        (4, "subfield-union-trace-zero", 3, True),
+    ],
+)
+def test_existence_scan_column_cache_matches_find_multipliers(q, pool_name, n, extended):
+    """A scan shares one split column per locator across its subsets; the
+    report must equal one built from a find_multipliers call per subset,
+    and each verdict must match the Element-level oracle.  The pools hold
+    zero, whose power column starts with 0^0 = 1.  (In characteristic 2 the
+    trace-zero set is GF(q), so the q=4 union pool is GF(4).)"""
+    f = get_field(q)
+    pool = list(f.elements()) if pool_name == "all" else _union_pool(f)
+    assert any(not a for a in pool)
+    report = existence_scan(f, n, pool, extended=extended, pool_description=pool_name)
+    k = (n + 1) // 2 if extended else n // 2
+    expected = ScanReport(f, n, k, extended, pool_name)
+    for subset in itertools.combinations(sorted(pool, key=lambda a: a.value), n):
+        code = find_multipliers(f, subset, extended=extended)
+        crit = build_criterion_matrix(f, subset, extended)
+        x, _ = oracle_subfield_solve(crit.matrix, crit.rhs)
+        assert (code is None) == (x is None)
+        if code is None:
+            expected.entries.append(ScanEntry(subset, False))
+        else:
+            assert [f.norm(v) for v in code.multipliers] == x
+            expected.entries.append(ScanEntry(subset, True, code.multipliers, True))
+    assert report.to_dict() == expected.to_dict()
+    assert report.totals["exists"] > 0
+
+
+CORRUPTION_SCRIPT = """
+import sys
+from hermgrs import field_for_q, find_multipliers, linalg, selfdual
+from hermgrs.errors import InternalConsistencyError
+from hermgrs.field import Field
+from hermgrs.linalg import Matrix, solve_in_subfield_nonzero
+
+f = field_for_q(3)
+raised = []
+
+def expect_error(label, call):
+    try:
+        call()
+    except InternalConsistencyError:
+        raised.append(label)
+
+kernel = linalg.solve_split_nonzero
+
+def corrupted(tables, *args, **kwargs):
+    x = kernel(tables, *args, **kwargs)
+    if x is not None:
+        x[0] = tables.neg[x[0]]  # still in GF(q)*, no longer a solution
+    return x
+
+linalg.solve_split_nonzero = selfdual.solve_split_nonzero = corrupted
+expect_error("residual", lambda: solve_in_subfield_nonzero(Matrix(f, [[f.one, f.one]]), [f.zero]))
+expect_error("residual-search", lambda: find_multipliers(f, (f.zero, f.theta ** 2)))
+linalg.solve_split_nonzero = selfdual.solve_split_nonzero = kernel
+
+solve_norm = Field.solve_norm
+Field.solve_norm = lambda self, c: self.theta * solve_norm(self, c)
+expect_error("gram", lambda: find_multipliers(f, (f.zero,), extended=True))
+Field.solve_norm = solve_norm
+assert find_multipliers(f, (f.zero,), extended=True) is not None
+print(sys.flags.optimize, " ".join(raised))
+"""
+
+
+def test_consistency_checks_survive_optimize():
+    """Under python -O, a corrupted kernel solution and a wrong norm
+    preimage still raise InternalConsistencyError."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTION_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "residual", "residual-search", "gram"]

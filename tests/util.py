@@ -4,7 +4,7 @@ import itertools
 from functools import lru_cache
 
 from hermgrs import CodeSpec, field_for_q, hermitian_gram
-from hermgrs.linalg import Matrix, matvec
+from hermgrs.linalg import Matrix, matvec, rref, solve
 
 
 @lru_cache(maxsize=None)
@@ -22,6 +22,78 @@ def brute_force_subfield_solutions(mat, b):
         if all((ri - bi).value == 0 for ri, bi in zip(residual, b)):
             out.append(list(x))
     return out
+
+
+def null_space(mat):
+    """A basis of the right kernel of `mat`, one vector per free column."""
+    field = mat.field
+    reduced, rank, pivots = rref(mat)
+    free = [c for c in range(mat.ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [field.zero] * mat.ncols
+        vec[fc] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced.rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def subfield_elements(field):
+    return field.subfield_elements()
+
+
+def subfield_components(x):
+    """Write x = x0 + theta*x1 with x0, x1 in GF(q) (basis {1, theta})."""
+    field = x.field
+    theta = field.theta
+    x1 = (x - field.frobenius(x)) / (theta - field.frobenius(theta))
+    x0 = x - theta * x1
+    return x0, x1
+
+
+def split_to_subfield(mat, b):
+    """Stack the {1, theta}-components of M x = b into an Element system
+    over GF(q): the 2r x n matrix and its right-hand side."""
+    rows0, rows1 = [], []
+    b0, b1 = [], []
+    for row, bi in zip(mat.rows, b):
+        comps = [subfield_components(e) for e in row]
+        rows0.append([c[0] for c in comps])
+        rows1.append([c[1] for c in comps])
+        bc = subfield_components(bi)
+        b0.append(bc[0])
+        b1.append(bc[1])
+    return Matrix(mat.field, rows0 + rows1), b0 + b1
+
+
+def oracle_subfield_solve(mat, b):
+    """The Element-level subfield solver, kept as the oracle of the integer
+    kernel: split, `solve` and `null_space` (two eliminations), then the
+    whole coset over GF(q) in ascending canonical order.
+
+    Returns (lexicographically smallest solution in (GF(q)*)^n or None,
+    coset dimension or None when the split system is inconsistent).
+    """
+    field = mat.field
+    sub_mat, sub_b = split_to_subfield(mat, b)
+    particular = solve(sub_mat, sub_b)
+    if particular is None:
+        return None, None
+    basis = null_space(sub_mat)
+    best = best_key = None
+    for coeffs in itertools.product(subfield_elements(field), repeat=len(basis)):
+        x = list(particular)
+        for c, vec in zip(coeffs, basis):
+            if c:
+                x = [xi + c * vi for xi, vi in zip(x, vec)]
+        if any(not xi for xi in x):
+            continue
+        key = tuple(xi.value for xi in x)
+        if best_key is None or key < best_key:
+            best, best_key = x, key
+    return best, len(basis)
 
 
 def brute_force_multiplier_exists(field, locators, extended=False):
