@@ -2,7 +2,8 @@
 multiplier search, exhaustive scans, and the conditional-theorem sweeps.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 input error,
-3 budget exceeded.
+3 budget exceeded, 4 internal consistency failure (a library fault: a result
+failed the re-check it carries as a proof).
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ import argparse
 import csv
 import datetime
 import json
-import multiprocessing
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import BudgetError, HermgrsError, InputError
+from .errors import BudgetError, HermgrsError, InputError, InternalConsistencyError
 from .field import Element, Field, field_for_q, make_field
 from .grs import (
     CodeSpec,
@@ -36,7 +36,6 @@ from .constructions import (
 from .linalg import DEFAULT_COSET_BUDGET
 from .selfdual import (
     PowerSumSystems,
-    ScanEntry,
     ScanReport,
     criterion_direct,
     criterion_lemma1,
@@ -51,6 +50,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_element(field: Field, token: str) -> Element:
@@ -114,10 +114,6 @@ def _metadata(command: str, params: Dict) -> Dict:
 
 def _print_json(data: Dict) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
-
-
-def _element_str(field: Field, x: Element) -> str:
-    return field.format_element(x)
 
 
 # ----- field -----
@@ -283,83 +279,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 # ----- scan -----
 
 
-def _scan_chunk(payload) -> List[Dict]:
-    """Worker body: search a chunk of locator subsets with shared columns."""
-    p, m, n, extended, budget, subsets = payload
-    field = make_field(p, m)
-    systems = PowerSumSystems(field, n, extended)
-    out = []
-    for values in subsets:
-        locators = tuple(field.element(v) for v in values)
-        code = systems.find(locators, budget)
-        out.append(
-            {
-                "locators": values,
-                "exists": code is not None,
-                "multipliers": (
-                    [v.value for v in code.multipliers] if code else None
-                ),
-            }
-        )
-    return out
-
-
-def _parallel_scan(
-    field: Field,
-    n: int,
-    pool: List[Element],
-    extended: bool,
-    budget: int,
-    workers: int,
-    description: str,
-) -> ScanReport:
-    import itertools
-
-    ordered = sorted(pool, key=lambda a: a.value)
-    subsets = [
-        tuple(a.value for a in combo)
-        for combo in itertools.combinations(ordered, n)
-    ]
-    chunk = max(1, len(subsets) // (workers * 4) or 1)
-    payloads = [
-        (field.p, field.m, n, extended, budget, subsets[i : i + chunk])
-        for i in range(0, len(subsets), chunk)
-    ]
-    with multiprocessing.Pool(workers) as mp_pool:
-        chunks = mp_pool.map(_scan_chunk, payloads)
-    k = (n + 1) // 2 if extended else n // 2
-    report = ScanReport(
-        field=field, n=n, k=k, extended=extended, pool_description=description
-    )
-    results = [entry for chunk_result in chunks for entry in chunk_result]
-    results.sort(key=lambda e: e["locators"])
-    for entry in results:
-        locators = tuple(field.element(v) for v in entry["locators"])
-        multipliers = (
-            tuple(field.element(v) for v in entry["multipliers"])
-            if entry["multipliers"]
-            else None
-        )
-        report.entries.append(
-            ScanEntry(locators, entry["exists"], multipliers,
-                      gram_checked=entry["exists"])
-        )
-    return report
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     field = field_for_q(args.q)
     pool, description = _pool_elements(field, args.pool)
-    if args.workers > 1:
-        report = _parallel_scan(
-            field, args.n, pool, args.extended, args.budget, args.workers,
-            description,
-        )
-    else:
-        report = existence_scan(
-            field, args.n, pool, extended=args.extended, budget=args.budget,
-            pool_description=description,
-        )
+    report = existence_scan(
+        field, args.n, pool, extended=args.extended, budget=args.budget,
+        pool_description=description, workers=args.workers,
+    )
     payload = report.to_dict()
     payload["metadata"] = _metadata(
         "scan",
@@ -592,6 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalConsistencyError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (HermgrsError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     HypothesisViolated,
-    InvalidBeta,
+    InternalConsistencyError,
     InvalidBetaM,
     NotInFamily,
 )
@@ -64,37 +64,41 @@ def family_S(field: Field, e: int, b: Element) -> FamilyS:
     return FamilyS(field, e, b, members)
 
 
-def _trace_zero_star(field: Field) -> set:
-    return {x.value for x in field.trace_zero_set()[1:]}
-
-
 def family_B(field: Field, l: int) -> FamilyB:
+    """The coset a_l*theta + V.
+
+    The paper requires a*theta to lie outside V* for every a in V*, and
+    that always holds.  Every a in V has a^q = -a, so
+    (a*theta)^q = -a*theta^q, and a*theta (nonzero for a in V*) lies in V
+    iff theta^q = theta.  The primitive theta of GF(q^2) is not in GF(q).
+    In characteristic 2 this reads V = GF(q), and the argument is the same.
+    """
     if not 1 <= l <= field.q:
         raise NotInFamily(f"coset index l={l} out of range 1..{field.q}")
     v = field.trace_zero_set()
-    vstar = _trace_zero_star(field)
-    beta = field.theta
-    for l2 in range(2, field.q + 1):
-        if (v[l2 - 1] * beta).value in vstar:
-            raise InvalidBeta(
-                f"beta=theta is invalid for q={field.q}: a_{l2}*theta lies in V*"
-            )
-    shift = v[l - 1] * beta
+    shift = v[l - 1] * field.theta
     return FamilyB(field, l, [shift + x for x in v])
 
 
 def family_Blm(field: Field, l: int, m: int) -> FamilyBlm:
+    """The scaled coset a_l + theta^m * V.
+
+    The paper requires beta_m*a to lie outside V* for every a in V*, with
+    beta_m = theta^m.  As for `family_B`, beta_m*a lies in V iff
+    beta_m^q = beta_m, that is iff beta_m is in GF(q)*.  That holds iff
+    theta^(m(q-1)) = 1, that is iff (q^2-1) | m(q-1), that is iff (q+1) | m.
+    It does not depend on a, so the hypothesis fails for all of V* or for
+    none of it.
+    """
     if not 1 <= l <= field.q:
         raise NotInFamily(f"coset index l={l} out of range 1..{field.q}")
+    if m % (field.q + 1) == 0:
+        raise InvalidBetaM(
+            f"beta_m=theta^{m} is invalid for q={field.q}: (q+1) | m puts "
+            f"beta_m in GF(q)*, so beta_m*V* = V*"
+        )
     v = field.trace_zero_set()
-    vstar = _trace_zero_star(field)
     beta_m = field.from_dlog(m)
-    for l2 in range(2, field.q + 1):
-        if (beta_m * v[l2 - 1]).value in vstar:
-            raise InvalidBetaM(
-                f"beta_m=theta^{m} is invalid for q={field.q}: "
-                f"beta_m*a_{l2} lies in V*"
-            )
     shift = v[l - 1]
     return FamilyBlm(field, l, m, [shift + beta_m * x for x in v])
 
@@ -118,6 +122,8 @@ def _pick_locators(
 
 
 def _shape(n: int, extended: bool) -> int:
+    if n < 1:
+        raise HypothesisViolated(f"need n >= 1, got n={n}")
     if extended:
         if n % 2 == 0:
             raise HypothesisViolated("extended construction needs odd n")
@@ -131,7 +137,7 @@ def _theta_exponent_lift(field: Field, dlog_u: int, offset: int) -> int:
     """Solve c*(q+1) = dlog_u + offset (mod q^2-1) for the smallest c >= 0."""
     t = (dlog_u + offset) % (field.order - 1)
     if t % (field.q + 1):
-        raise AssertionError(
+        raise InternalConsistencyError(
             "u-vector exponent identity failed; locators are not in the family"
         )
     return t // (field.q + 1)
@@ -147,8 +153,13 @@ def construct_theorem1(
 ) -> CodeSpec:
     """Self-dual (E)GRS code on locators from the alpha^q = a*alpha + b set.
 
-    Plain case needs (q-1) | e(n-1); extended case needs (q-1) | e(k-1),
-    which already implies (q-1) | e(n-1) since n-1 = 2(k-1).
+    The paper's hypotheses (q-1) | e(n-1) (plain) and (q-1) | e(k-1)
+    (extended) always hold once the locators are chosen.  Two distinct
+    members of the family give (alpha_1 - alpha_2)^q = a(alpha_1 - alpha_2),
+    so a = (alpha_1 - alpha_2)^(q-1) and (q-1) | e, as (q-1) | (q^2-1).
+    The locators are n distinct family members (`_pick_locators`, then
+    `u_vector`, which rejects repeats), so there are two of them whenever
+    n >= 2.  The one case left, extended with n = 1, has k-1 = 0 = n-1.
     """
     q = field.q
     k = _shape(n, extended)
@@ -156,13 +167,6 @@ def construct_theorem1(
         raise HypothesisViolated(f"need n <= q, got n={n}, q={q}")
     fam = family_S(field, e, b)
     locs = _pick_locators(fam.elements, n, locators)
-    if extended:
-        if (e * (k - 1)) % (q - 1) != 0:
-            raise HypothesisViolated(f"(q-1) must divide e(k-1); e={e}, k={k}")
-    else:
-        if (e * (n - 1)) % (q - 1) != 0:
-            raise HypothesisViolated(f"(q-1) must divide e(n-1); e={e}, n={n}")
-    assert (e * (n - 1)) % (q - 1) == 0
     big_e = (e * (n - 1)) // (q - 1)
     u = u_vector(locs)
     if extended:
@@ -176,7 +180,7 @@ def construct_theorem1(
     )
     code = CodeSpec(field, locs, multipliers, k, extended)
     if not criterion_direct(code):
-        raise AssertionError("theorem-1 construction failed the Gram check")
+        raise InternalConsistencyError("theorem-1 construction failed the Gram check")
     return code
 
 
@@ -209,7 +213,7 @@ def construct_theorem2(
     )
     code = CodeSpec(field, locs, multipliers, k, extended)
     if not criterion_direct(code):
-        raise AssertionError("theorem-2 construction failed the Gram check")
+        raise InternalConsistencyError("theorem-2 construction failed the Gram check")
     return code
 
 
@@ -242,5 +246,5 @@ def construct_theorem3(
     )
     code = CodeSpec(field, locs, multipliers, k, extended)
     if not criterion_direct(code):
-        raise AssertionError("theorem-3 construction failed the Gram check")
+        raise InternalConsistencyError("theorem-3 construction failed the Gram check")
     return code

@@ -61,10 +61,6 @@ class NotInFamily(InputError):
     pass
 
 
-class InvalidBeta(InputError):
-    pass
-
-
 class InvalidBetaM(InputError):
     pass
 

@@ -26,6 +26,7 @@ from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
     FieldTooLarge,
+    InternalConsistencyError,
     LogOfZero,
     NotInSubfield,
 )
@@ -262,7 +263,7 @@ class Field:
 
     def subfield_elements(self) -> List[Element]:
         """GF(q) inside GF(q^2), in ascending canonical index order."""
-        return [x for x in self.elements() if self.in_subfield(x)]
+        return [Element(self, v) for v in self.subfield_tables.values]
 
     def trace_zero_set(self) -> List[Element]:
         """The q zeros of the trace map: zero first, then ascending dlog."""
@@ -283,7 +284,8 @@ class Field:
         d = self.dlog(c)
         # c in GF(q)* forces (q+1) | dlog(c); d // (q+1) < q-1 is the
         # smallest exponent s with s*(q+1) = d  (mod q^2-1).
-        assert d % (self.q + 1) == 0, "norm preimage must exist"
+        if d % (self.q + 1):
+            raise InternalConsistencyError(f"{c!r} in GF({self.q})* has no norm preimage")
         return self.from_dlog(d // (self.q + 1))
 
     @functools.cached_property

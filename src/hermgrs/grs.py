@@ -16,6 +16,7 @@ from .errors import (
     DegreeTooHigh,
     DuplicateLocator,
     EnumerationBudgetExceeded,
+    InternalConsistencyError,
 )
 from .field import Element, Field
 from .linalg import Matrix, det
@@ -158,7 +159,8 @@ def is_mds(code: CodeSpec, minor_budget: int = DEFAULT_MINOR_BUDGET) -> bool:
     """True iff every k x k minor of the generator matrix is nonzero.
 
     When the message space is small enough the brute-force distance is also
-    computed and asserted to agree, as an independent check.
+    computed and must agree, as an independent check; a disagreement raises
+    InternalConsistencyError.
     """
     import math
 
@@ -178,9 +180,10 @@ def is_mds(code: CodeSpec, minor_budget: int = DEFAULT_MINOR_BUDGET) -> bool:
             break
     if f.order ** code.k <= MDS_CROSSCHECK_LIMIT:
         dist = min_distance_bruteforce(code)
-        assert ok == (dist == code.length - code.k + 1), (
-            "minor test and brute-force distance disagree"
-        )
+        if ok != (dist == code.length - code.k + 1):
+            raise InternalConsistencyError(
+                "minor test and brute-force distance disagree"
+            )
     return ok
 
 

@@ -1,17 +1,23 @@
 """Dense exact linear algebra over GF(q^2).
 
-Includes the subfield solver at the heart of the existence scans: finding a
-solution of M x = b whose coordinates all lie in GF(q)*, or proving that no
-such solution exists by exhausting the affine solution coset over GF(q).
+Includes the subfield solver at the heart of the existence scans,
+`solve_split_nonzero`: given a system already split into its
+{1, theta}-components over GF(q), it finds a solution whose coordinates all
+lie in GF(q)*, or proves that none exists by exhausting the affine solution
+coset.  `selfdual.PowerSumSystems` does the split and the re-check over
+GF(q^2) (`check_subfield_solution`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import EnumerationBudgetExceeded, InternalConsistencyError
+from .errors import (
+    DimensionMismatch,
+    EnumerationBudgetExceeded,
+    InternalConsistencyError,
+)
 from .field import Element, Field, SubfieldTables
 
 DEFAULT_COSET_BUDGET = 10 ** 7
@@ -28,7 +34,8 @@ class Matrix:
         self.field = field
         self.rows = rows
         ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == ncols for r in rows), "ragged rows"
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
 
     @property
     def nrows(self) -> int:
@@ -37,9 +44,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [list(r) for r in self.rows])
 
     def is_zero(self) -> bool:
         return all(not e for row in self.rows for e in row)
@@ -63,13 +67,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "\n".join("  [" + ", ".join(map(repr, r)) + "]" for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols},\n{body})"
-
-
-@dataclass
-class SubfieldSolution:
-    """A vector in (GF(q)*)^n solving M x = b, checked over GF(q^2)."""
-
-    x: Vector
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, int, List[int]]:
@@ -126,7 +123,8 @@ def det(mat: Matrix) -> Element:
     """Determinant via Gaussian elimination (square matrices only)."""
     field = mat.field
     n = mat.nrows
-    assert n == mat.ncols, "determinant needs a square matrix"
+    if n != mat.ncols:
+        raise DimensionMismatch("determinant needs a square matrix")
     rows = [list(r) for r in mat.rows]
     result = field.one
     for c in range(n):
@@ -143,22 +141,6 @@ def det(mat: Matrix) -> Element:
                 factor = rows[i][c] * inv
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
     return result
-
-
-def split_system(mat: Matrix, b: Vector) -> Tuple[List[List[int]], List[int]]:
-    """Stack the {1, theta}-components of M x = b into a system over GF(q).
-
-    Entries are compact GF(q) indices (see `SubfieldTables`).  For x with all
-    coordinates in GF(q), M x = b over GF(q^2) holds iff the returned
-    2r x n system does over GF(q).
-    """
-    tables = mat.field.subfield_tables
-    rows0, rows1 = [], []
-    for row in mat.rows:
-        comps = [tables.split(e.value) for e in row]
-        rows0.append([c[0] for c in comps])
-        rows1.append([c[1] for c in comps])
-    return rows0 + rows1, tables.split_vector(bi.value for bi in b)
 
 
 def solve_split_nonzero(
@@ -241,29 +223,3 @@ def check_subfield_solution(mat: Matrix, b: Vector, x: Vector) -> None:
         raise InternalConsistencyError("subfield solution has a coordinate outside GF(q)*")
     if any((ri - bi).value for ri, bi in zip(matvec(mat, x), b)):
         raise InternalConsistencyError("subfield solution failed its residual check")
-
-
-def solve_in_subfield_nonzero(
-    mat: Matrix,
-    b: Vector,
-    budget: int = DEFAULT_COSET_BUDGET,
-) -> Optional[SubfieldSolution]:
-    """Find x in (GF(q)*)^n with M x = b, or prove none exists.
-
-    The system is split into its {1, theta}-components over GF(q) and solved
-    on compact GF(q) indices by `solve_split_nonzero`, whose tables are built
-    once per field on first use.  The whole affine solution coset is
-    enumerated, so a None return is a proof of non-existence for this
-    system.  Among all solutions the lexicographically smallest by canonical
-    element index is returned, after it is checked against M x = b over
-    GF(q^2); a failed check raises InternalConsistencyError.
-    """
-    field = mat.field
-    tables = field.subfield_tables
-    rows, rhs = split_system(mat, b)
-    x = solve_split_nonzero(tables, rows, rhs, mat.ncols, budget)
-    if x is None:
-        return None
-    solution = [field.element(tables.values[c]) for c in x]
-    check_subfield_solution(mat, b, solution)
-    return SubfieldSolution(x=solution)

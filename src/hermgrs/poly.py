@@ -89,20 +89,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def conjugate_coeffs(self) -> "Poly":
-        """Apply Frobenius to every coefficient (an involution)."""
-        f = self.field
-        return Poly(f, [f.frobenius(c) for c in self.coeffs])
-
-    def compose_affine(self, a: Element, b: Element) -> "Poly":
-        """Expand self(a*x + b) by Horner over the linear argument."""
-        f = self.field
-        linear = Poly(f, [b, a])
-        acc = Poly.zero(f)
-        for c in reversed(self.coeffs):
-            acc = acc * linear + Poly(f, [c])
-        return acc
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DuplicateLocator, InternalConsistencyError
-from .field import Element, Field
+from .field import Element, Field, make_field
 from .grs import CodeSpec, hermitian_gram, u_vector
 from .linalg import (
     DEFAULT_COSET_BUDGET,
@@ -266,7 +266,8 @@ def _span_membership(
         coeffs = solve(columns, target)
         if coeffs is not None:
             combo = matvec(columns, coeffs)
-            assert all((c - t).value == 0 for c, t in zip(combo, target))
+            if any((c - t).value for c, t in zip(combo, target)):
+                raise InternalConsistencyError("span witness failed its residual check")
             return SpanConditionResult(True, te, coeffs)
     return SpanConditionResult(False)
 
@@ -306,7 +307,12 @@ class ScanEntry:
     locators: Tuple[Element, ...]
     exists: bool
     multipliers: Optional[Tuple[Element, ...]] = None
-    gram_checked: bool = False
+
+    @property
+    def gram_checked(self) -> bool:
+        """A found code has passed its Gram re-check: `PowerSumSystems.find`
+        raises rather than return a code that fails it."""
+        return self.exists
 
 
 @dataclass
@@ -361,12 +367,15 @@ def existence_scan(
     extended: bool = False,
     budget: int = DEFAULT_COSET_BUDGET,
     pool_description: str = "",
+    workers: int = 1,
 ) -> ScanReport:
     """Run find_multipliers over every n-subset of the pool.
 
     Subsets are canonicalized to ascending canonical index; the criteria are
     permutation-invariant, so this loses no generality.  The subsets share
     one PowerSumSystems, so each locator's split column is computed once.
+    With workers > 1, chunks of subsets are searched in a process pool, one
+    PowerSumSystems per chunk; the report is the same entry for entry.
     """
     ordered = sorted(pool, key=lambda a: a.value)
     k = (n + 1) // 2 if extended else n // 2
@@ -377,13 +386,57 @@ def existence_scan(
         extended=extended,
         pool_description=pool_description or f"{len(ordered)} elements",
     )
-    systems = PowerSumSystems(field, n, extended)
-    for subset in itertools.combinations(ordered, n):
-        code = systems.find(subset, budget)
-        if code is None:
-            report.entries.append(ScanEntry(subset, False))
-        else:
-            report.entries.append(
-                ScanEntry(subset, True, code.multipliers, gram_checked=True)
-            )
+    subsets = itertools.combinations(ordered, n)
+    if workers > 1:
+        found = _search_in_processes(field, n, extended, budget, list(subsets), workers)
+    else:
+        found = _search(PowerSumSystems(field, n, extended), subsets, budget)
+    for subset, multipliers in found:
+        report.entries.append(ScanEntry(subset, multipliers is not None, multipliers))
     return report
+
+
+def _search(
+    systems: PowerSumSystems, subsets: Iterable[Tuple[Element, ...]], budget: int
+) -> Iterator[Tuple[Tuple[Element, ...], Optional[Tuple[Element, ...]]]]:
+    """(subset, multipliers or None) for each subset, in order."""
+    for subset in subsets:
+        code = systems.find(subset, budget)
+        yield subset, (code.multipliers if code else None)
+
+
+def _search_chunk(payload) -> List[Optional[List[int]]]:
+    """Process-pool worker: multiplier canonical indices (or None) for a
+    chunk of subsets given as canonical indices."""
+    p, m, order, n, extended, budget, chunk = payload
+    field = make_field(p, m, max_order=order)
+    subsets = (tuple(field.element(v) for v in values) for values in chunk)
+    return [
+        None if multipliers is None else [v.value for v in multipliers]
+        for _, multipliers in _search(PowerSumSystems(field, n, extended), subsets, budget)
+    ]
+
+
+def _search_in_processes(
+    field: Field,
+    n: int,
+    extended: bool,
+    budget: int,
+    subsets: List[Tuple[Element, ...]],
+    workers: int,
+) -> Iterator[Tuple[Tuple[Element, ...], Optional[Tuple[Element, ...]]]]:
+    """_search over a pool of worker processes, in the same order.  The
+    workers are spawned, not forked, and rebuild the field from (p, m)."""
+    import multiprocessing
+
+    size = max(1, len(subsets) // (workers * 4))
+    payloads = [
+        (field.p, field.m, field.order, n, extended, budget,
+         [tuple(a.value for a in s) for s in subsets[i : i + size]])
+        for i in range(0, len(subsets), size)
+    ]
+    with multiprocessing.get_context("spawn").Pool(workers) as mp_pool:
+        chunks = mp_pool.map(_search_chunk, payloads)
+    results = itertools.chain.from_iterable(chunks)
+    for subset, values in zip(subsets, results):
+        yield subset, (None if values is None else tuple(field.element(v) for v in values))

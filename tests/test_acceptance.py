@@ -28,7 +28,7 @@ from hermgrs import (
     u_vector,
 )
 from hermgrs.cli import sweep_conditional_theorem
-from hermgrs.linalg import matvec, solve_in_subfield_nonzero
+from hermgrs.linalg import matvec
 from hermgrs.poly import Poly
 
 from util import (
@@ -39,6 +39,7 @@ from util import (
     random_element,
     random_locators,
     random_matrix,
+    solve_subfield,
     split_to_subfield,
 )
 
@@ -225,10 +226,10 @@ def test_acceptance_6_subfield_solver_oracle(capsys):
         mat = random_matrix(rng, f, rng.randrange(1, 5), n)
         b = [f.element(rng.randrange(f.order)) for _ in range(mat.nrows)]
         oracle = brute_force_subfield_solutions(mat, b)
-        sol = solve_in_subfield_nonzero(mat, b)
+        sol = solve_subfield(mat, b)
         if oracle:
             best = min(tuple(x.value for x in s) for s in oracle)
-            if sol is None or tuple(x.value for x in sol.x) != best:
+            if sol is None or tuple(x.value for x in sol) != best:
                 mismatches += 1
         elif sol is not None:
             mismatches += 1

@@ -4,8 +4,10 @@ import csv
 import json
 
 from hermgrs.cli import main
+from hermgrs.errors import InternalConsistencyError
+from hermgrs.selfdual import PowerSumSystems
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _strip_metadata(data):
@@ -135,11 +137,7 @@ def test_scan_workers_match_sequential(tmp_path):
         out = tmp_path / name
         main(["scan", "--q", "3", "--n", "4", "--pool", "subfield-union-trace-zero",
               "--workers", workers, "--out", str(out)])
-        data = _strip_metadata(json.loads(out.read_text()))
-        # gram_checked is recomputed per worker; compare the verdicts
-        for entry in data["entries"]:
-            entry.pop("gram_checked", None)
-        reports.append(data)
+        reports.append(_strip_metadata(json.loads(out.read_text())))
     assert reports[0] == reports[1]
 
 
@@ -163,6 +161,18 @@ def test_budget_exit_code(capsys):
     rc = main(["search", "--q", "3", "--locators", "0", "1", "--budget", "1"])
     assert rc == EXIT_BUDGET
     capsys.readouterr()
+
+
+def test_internal_consistency_exit_code(monkeypatch, capsys):
+    """A failed internal re-check is a library fault, not an input error."""
+
+    def broken(self, locators, budget=None):
+        raise InternalConsistencyError("re-check failed")
+
+    monkeypatch.setattr(PowerSumSystems, "find", broken)
+    rc = main(["search", "--q", "3", "--locators", "zero", "2"])
+    assert rc == EXIT_INTERNAL
+    assert "re-check failed" in capsys.readouterr().err
 
 
 def test_conjecture_sweep(capsys):

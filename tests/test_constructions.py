@@ -18,14 +18,24 @@ from hermgrs import (
     is_mds,
     u_vector,
 )
+from hermgrs import constructions
 from hermgrs.errors import (
     HypothesisViolated,
+    InternalConsistencyError,
     InvalidBetaM,
     NotInFamily,
 )
 from hermgrs.poly import Poly
 
-from util import get_field, random_element
+from util import (
+    beta_m_invalid,
+    compose_affine,
+    conjugate_coeffs,
+    get_field,
+    random_element,
+)
+
+PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def _dlog_set(field, elements):
@@ -119,6 +129,46 @@ def test_family_Blm_invalid_scale():
             family_Blm(f, 1, q + 1)
 
 
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
+def test_family_Blm_invalid_iff_q_plus_1_divides_m(q):
+    """The O(1) test in family_Blm agrees with the loop over V* it replaced,
+    for every m.  family_B's theta is the case m = 1, which never fires."""
+    f = get_field(q)
+    fired = 0
+    for m in range(q * q - 1):
+        invalid = beta_m_invalid(f, m)
+        assert invalid == (m % (q + 1) == 0), m
+        fired += invalid
+        if invalid:
+            with pytest.raises(InvalidBetaM):
+                family_Blm(f, 1, m)
+        else:
+            assert len(family_Blm(f, 1, m).elements) == q
+    assert fired == q - 1
+    assert not beta_m_invalid(f, 1)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
+def test_family_S_with_two_members_has_q_minus_1_dividing_e(q):
+    """Every family_S(e, b) with at least two members has (q-1) | e, so
+    theorem 1's divisibility hypotheses always hold.  The families of one e
+    are the fibres of alpha -> alpha^q - theta^e*alpha over all b."""
+    f = get_field(q)
+    multi = 0
+    for e in range(q * q - 1):
+        a = f.from_dlog(e)
+        fibres = {}
+        for x in f.elements():
+            fibres.setdefault((f.frobenius(x) - a * x).value, []).append(x.value)
+        for members in fibres.values():
+            if len(members) >= 2:
+                assert e % (q - 1) == 0, (e, members)
+                multi += 1
+        b = f.frobenius(f.theta) - a * f.theta
+        assert [x.value for x in family_S(f, e, b).elements] == fibres[b.value]
+    assert multi > 0
+
+
 # ----- constructions -----
 
 
@@ -202,6 +252,22 @@ def test_construct_hypothesis_violations():
     f7 = get_field(7)
     with pytest.raises(HypothesisViolated):
         construct_theorem1(f7, 1, f7.zero, 2)  # solution set too small
+    for n in (0, -1, -2):
+        for extended in (False, True):
+            with pytest.raises(HypothesisViolated):
+                construct_theorem2(f, 1, n, extended=extended)
+
+
+def test_construction_gram_recheck_raises(monkeypatch):
+    """A construction that fails its Gram re-check is a library fault."""
+    f = get_field(3)
+    monkeypatch.setattr(constructions, "criterion_direct", lambda code: False)
+    with pytest.raises(InternalConsistencyError):
+        construct_theorem1(f, 0, f.zero, 2)
+    with pytest.raises(InternalConsistencyError):
+        construct_theorem2(f, 1, 2)
+    with pytest.raises(InternalConsistencyError):
+        construct_theorem3(f, 1, 1, 2)
 
 
 def test_construct_theorem2_witness_polynomial_identity():
@@ -228,11 +294,9 @@ def test_construct_theorem2_witness_polynomial_identity():
                     for a, v, ui in zip(code.locators, code.multipliers, u)
                 ]
                 witness = interpolate(f, points)
-                expected = (
-                    msg.conjugate_coeffs()
-                    .compose_affine(f.minus_one, shift)
-                    .scale(lam)
-                )
+                expected = compose_affine(
+                    conjugate_coeffs(msg), f.minus_one, shift
+                ).scale(lam)
                 assert witness == expected
 
 

@@ -13,7 +13,7 @@ from hermgrs.errors import (
 )
 from hermgrs.field import field_for_q, make_field, split_prime_power
 
-from util import get_field
+from util import get_field, subfield_elements
 
 QS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -230,6 +230,14 @@ def test_subfield_elements_order_and_closure():
             for y in sub:
                 assert f.in_subfield(x + y)
                 assert f.in_subfield(x * y)
+
+
+@pytest.mark.parametrize("q", QS + (243,))
+def test_subfield_elements_match_frobenius_fixed_points(q):
+    """The subfield read from the GF(q) tables equals the fixed points of
+    Frobenius, in the same ascending canonical order."""
+    f = get_field(q)
+    assert f.subfield_elements() == subfield_elements(f)
 
 
 def test_export_record_roundtrip():

@@ -7,7 +7,7 @@ import pytest
 from hermgrs.errors import DuplicateAbscissa
 from hermgrs.poly import NEG_INFINITY, Poly, interpolate
 
-from util import get_field, random_element
+from util import compose_affine, conjugate_coeffs, get_field, random_element
 
 
 def test_degree_and_normalization():
@@ -70,10 +70,10 @@ def test_conjugate_coeffs_involution_and_semilinearity():
         f = get_field(q)
         for _ in range(20):
             p = Poly(f, [random_element(rng, f) for _ in range(3)])
-            assert p.conjugate_coeffs().conjugate_coeffs() == p
+            assert conjugate_coeffs(conjugate_coeffs(p)) == p
             # evaluating the conjugate at a^q conjugates the value
             a = random_element(rng, f)
-            lhs = p.conjugate_coeffs().eval(f.frobenius(a))
+            lhs = conjugate_coeffs(p).eval(f.frobenius(a))
             assert lhs == f.frobenius(p.eval(a))
 
 
@@ -84,7 +84,7 @@ def test_compose_affine():
         p = Poly(f, [random_element(rng, f) for _ in range(4)])
         a = random_element(rng, f)
         b = random_element(rng, f)
-        comp = p.compose_affine(a, b)
+        comp = compose_affine(p, a, b)
         for x in (f.zero, f.one, f.theta, f.theta ** 7):
             assert comp.eval(x) == p.eval(a * x + b)
 

@@ -4,7 +4,16 @@ import itertools
 from functools import lru_cache
 
 from hermgrs import CodeSpec, field_for_q, hermitian_gram
-from hermgrs.linalg import Matrix, matvec, rref, solve
+from hermgrs.linalg import (
+    DEFAULT_COSET_BUDGET,
+    Matrix,
+    check_subfield_solution,
+    matvec,
+    rref,
+    solve,
+    solve_split_nonzero,
+)
+from hermgrs.poly import Poly
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +50,8 @@ def null_space(mat):
 
 @lru_cache(maxsize=None)
 def subfield_elements(field):
-    return field.subfield_elements()
+    """GF(q) as the fixed points of Frobenius, in ascending canonical index."""
+    return [x for x in field.elements() if field.in_subfield(x)]
 
 
 def subfield_components(x):
@@ -66,6 +76,28 @@ def split_to_subfield(mat, b):
         b0.append(bc[0])
         b1.append(bc[1])
     return Matrix(mat.field, rows0 + rows1), b0 + b1
+
+
+def split_columns(mat, b):
+    """The split system of M x = b as `PowerSumSystems` builds it: each
+    column and the right-hand side through `subfield_tables.split_vector`,
+    giving 2r rows of compact GF(q) indices (x0-components, then x1)."""
+    tables = mat.field.subfield_tables
+    columns = [tables.split_vector(e.value for e in col) for col in zip(*mat.rows)]
+    return [list(row) for row in zip(*columns)], tables.split_vector(e.value for e in b)
+
+
+def solve_subfield(mat, b, budget=DEFAULT_COSET_BUDGET):
+    """The library's subfield route on M x = b: split, `solve_split_nonzero`,
+    then the re-check over GF(q^2).  The solution as Elements, or None."""
+    field = mat.field
+    rows, rhs = split_columns(mat, b)
+    x = solve_split_nonzero(field.subfield_tables, rows, rhs, mat.ncols, budget)
+    if x is None:
+        return None
+    solution = [field.element(field.subfield_tables.values[c]) for c in x]
+    check_subfield_solution(mat, b, solution)
+    return solution
 
 
 def oracle_subfield_solve(mat, b):
@@ -146,3 +178,28 @@ def random_matrix(rng, field, nrows, ncols):
         field,
         [[random_element(rng, field) for _ in range(ncols)] for _ in range(nrows)],
     )
+
+
+def conjugate_coeffs(poly):
+    """Apply Frobenius to every coefficient (an involution)."""
+    f = poly.field
+    return Poly(f, [f.frobenius(c) for c in poly.coeffs])
+
+
+def compose_affine(poly, a, b):
+    """Expand poly(a*x + b) by Horner over the linear argument."""
+    f = poly.field
+    linear = Poly(f, [b, a])
+    acc = Poly.zero(f)
+    for c in reversed(poly.coeffs):
+        acc = acc * linear + Poly(f, [c])
+    return acc
+
+
+def beta_m_invalid(field, m):
+    """The loop `family_Blm` used to run: does theta^m * a lie in V* for
+    some a in V*, the nonzero trace-zero elements?"""
+    vstar = field.trace_zero_set()[1:]
+    values = {a.value for a in vstar}
+    beta_m = field.from_dlog(m)
+    return any((beta_m * a).value in values for a in vstar)
