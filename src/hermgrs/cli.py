@@ -54,17 +54,15 @@ EXIT_INTERNAL = 4
 
 
 def _parse_element(field: Field, token: str) -> Element:
-    """`zero` or `-1` is the zero element; a non-negative integer t is theta^t."""
+    """`zero` or `-1` is the zero element; an integer t in 0..q^2-2 is theta^t."""
     token = token.strip()
-    if token in ("zero", "-1"):
+    if token == "zero":
         return field.zero
     try:
         t = int(token)
     except ValueError:
         raise InputError(f"bad element token {token!r}; use 'zero' or a dlog int")
-    if t < 0:
-        raise InputError(f"bad element token {token!r}")
-    return field.from_dlog(t)
+    return field.from_dlog_input(t, allow_zero=True)
 
 
 def _parse_locators(field: Field, tokens: Sequence[str]) -> Tuple[Element, ...]:

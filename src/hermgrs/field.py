@@ -26,6 +26,7 @@ from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
     FieldTooLarge,
+    InputError,
     InternalConsistencyError,
     LogOfZero,
     NotInSubfield,
@@ -201,6 +202,18 @@ class Field:
 
     def from_dlog(self, t: int) -> Element:
         return Element(self, self._exp[t % (self.order - 1)])
+
+    def from_dlog_input(self, t: int, allow_zero: bool = False) -> Element:
+        """theta^t for a discrete log read from outside input, and zero for
+        t = -1 if `allow_zero`.  Unlike `from_dlog` this does not reduce t
+        modulo order - 1, so an out-of-range log cannot silently name
+        another element: anything but an int in range raises InputError."""
+        low, high = (-1 if allow_zero else 0), self.order - 2
+        if isinstance(t, bool) or not isinstance(t, int) or not low <= t <= high:
+            raise InputError(
+                f"discrete log {t!r} outside {low}..{high} for GF({self.order})"
+            )
+        return Element(self, self._exp[t] if t >= 0 else 0)
 
     def elements(self) -> Iterator[Element]:
         for v in range(self.order):

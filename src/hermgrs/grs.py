@@ -8,6 +8,7 @@ coordinate at infinity (the leading message coefficient).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Sequence, Tuple
 
@@ -19,7 +20,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .field import Element, Field
-from .linalg import Matrix, det
+from .linalg import Matrix, _is_nonsingular
 from .poly import Poly
 
 DEFAULT_CODEWORD_BUDGET = 10 ** 6
@@ -89,13 +90,25 @@ def u_vector(locators: Sequence[Element]) -> Tuple[Element, ...]:
 def generator_matrix(code: CodeSpec) -> Matrix:
     """k x n (or k x (n+1) extended, final column e_k) generator matrix."""
     f = code.field
+    return Matrix(f, [[Element(f, v) for v in row] for row in _generator_rows(code)])
+
+
+def _generator_rows(code: CodeSpec) -> List[List[int]]:
+    """The generator matrix as canonical indices: row i holds v_j * a_j^i,
+    then, for an extended code, the i-th entry of e_k."""
+    f = code.field
+    exp, log = f._exp, f._log
+    units = f.order - 1
     rows = []
     for i in range(code.k):
-        row = [v * f.pow(a, i) for a, v in zip(code.locators, code.multipliers)]
+        row = [
+            exp[(log[v.value] + i * log[a.value]) % units] if a or i == 0 else 0
+            for a, v in zip(code.locators, code.multipliers)
+        ]
         if code.extended:
-            row.append(f.one if i == code.k - 1 else f.zero)
+            row.append(1 if i == code.k - 1 else 0)
         rows.append(row)
-    return Matrix(f, rows)
+    return rows
 
 
 def encode(code: CodeSpec, message: Poly) -> List[Element]:
@@ -137,21 +150,71 @@ def _dot(f: Field, x: Sequence[Element], y: Sequence[Element]) -> Element:
 def min_distance_bruteforce(
     code: CodeSpec, budget: int = DEFAULT_CODEWORD_BUDGET
 ) -> int:
-    """Minimum weight over all nonzero codewords, by full enumeration."""
+    """Minimum weight over all nonzero codewords, by exhaustive enumeration.
+
+    The budget bounds the full message count order**k, although only one
+    message per projective point is encoded (see `_min_weight`).
+    """
     f = code.field
     messages = f.order ** code.k
     if messages > budget:
         raise EnumerationBudgetExceeded(
             f"{messages} message polynomials exceed budget {budget}"
         )
-    best = code.length
-    for coeff_values in itertools.product(range(f.order), repeat=code.k):
-        if not any(coeff_values):
-            continue
-        msg = Poly(f, [f.element(v) for v in coeff_values])
-        weight = sum(1 for e in encode(code, msg) if e)
+    return _min_weight(f, _generator_rows(code))
+
+
+def _min_weight(field: Field, rows: Sequence[Sequence[int]]) -> int:
+    """Minimum weight of m G over nonzero messages m, for the k x N matrix G
+    of canonical indices `rows` (0 when G has rank below k).
+
+    Only normalised messages are encoded: those whose highest-index nonzero
+    coefficient m_t is 1.  This is exact.  Every nonzero m equals m_t * m'
+    for exactly one normalised m' (m' = m / m_t; m_t is fixed by m), and
+    m G = m_t (m' G) has the same zero coordinates as m' G because m_t is a
+    unit.  So the minimum over the (order**k - 1) nonzero messages is the
+    minimum over the (order**k - 1) / (order - 1) normalised ones.
+
+    The walk is depth-first.  A normalised message is reached from row t by
+    adding unit multiples of lower rows in decreasing row order, so each is
+    visited once, and only the codewords on the current path (at most k
+    vectors of length N) are kept.  The unit multiples of rows 0..k-2 are
+    tabulated once; row k-1 only ever enters with coefficient 1.
+    """
+    k = len(rows)
+    length = len(rows[0])
+    exp, log = field._exp, field._log
+    units = field.order - 1
+    multiples = [
+        [
+            [exp[(log[e] + t) % units] if e else 0 for e in row]
+            for t in range(units)
+        ]
+        for row in rows[: k - 1]
+    ]
+    table = field._add_table
+    if table is not None:
+        def plus(x, y):
+            return [table[a][b] for a, b in zip(x, y)]
+    else:
+        add = field._add_idx
+
+        def plus(x, y):
+            return list(map(add, x, y))
+
+    best = length
+
+    def walk(word, below):
+        nonlocal best
+        weight = length - word.count(0)
         if weight < best:
             best = weight
+        for i in range(below):
+            for multiple in multiples[i]:
+                walk(plus(word, multiple), i)
+
+    for top in range(k):
+        walk(rows[top], top)
     return best
 
 
@@ -160,24 +223,20 @@ def is_mds(code: CodeSpec, minor_budget: int = DEFAULT_MINOR_BUDGET) -> bool:
 
     When the message space is small enough the brute-force distance is also
     computed and must agree, as an independent check; a disagreement raises
-    InternalConsistencyError.
+    InternalConsistencyError.  Both checks run on canonical indices.
     """
-    import math
-
-    gen = generator_matrix(code)
-    ncols = gen.ncols
+    rows = _generator_rows(code)
+    ncols = len(rows[0])
     count = math.comb(ncols, code.k)
     if count > minor_budget:
         raise CombinatorialBudgetExceeded(
             f"{count} minors exceed budget {minor_budget}"
         )
     f = code.field
-    ok = True
-    for cols in itertools.combinations(range(ncols), code.k):
-        sub = Matrix(f, [[row[c] for c in cols] for row in gen.rows])
-        if not det(sub):
-            ok = False
-            break
+    ok = all(
+        _is_nonsingular(f, [[row[c] for c in cols] for row in rows])
+        for cols in itertools.combinations(range(ncols), code.k)
+    )
     if f.order ** code.k <= MDS_CROSSCHECK_LIMIT:
         dist = min_distance_bruteforce(code)
         if ok != (dist == code.length - code.k + 1):
@@ -206,10 +265,8 @@ def code_from_dict(data: Dict) -> CodeSpec:
     f = Field.from_record(data["field"])
     if f.q != data["q"]:
         raise ValueError("field record does not match declared q")
-    locators = tuple(
-        f.zero if t == -1 else f.from_dlog(t) for t in data["locators"]
-    )
-    multipliers = tuple(f.from_dlog(t) for t in data["multipliers"])
+    locators = tuple(f.from_dlog_input(t, allow_zero=True) for t in data["locators"])
+    multipliers = tuple(f.from_dlog_input(t) for t in data["multipliers"])
     return CodeSpec(
         field=f,
         locators=locators,

@@ -143,6 +143,43 @@ def det(mat: Matrix) -> Element:
     return result
 
 
+def _is_nonsingular(field: Field, rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the square matrix of canonical indices `rows` has nonzero
+    determinant, by the elimination `det` does, without the determinant.
+
+    Each step takes the first row with a nonzero leading entry as pivot,
+    clears the leading column of the other rows and drops that column and
+    the pivot row; a column with no nonzero entry left means singular.
+    Multiplication runs through the log tables.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("nonsingularity test needs a square matrix")
+    exp, log, neg, add = field._exp, field._log, field._neg_table, field._add_idx
+    units = field.order - 1
+    rows = list(rows)
+    while rows:
+        p = next((i for i, r in enumerate(rows) if r[0]), None)
+        if p is None:
+            return False
+        pivot = rows.pop(p)
+        log_pivot = log[pivot[0]]
+        rest = []
+        for r in rows:
+            if r[0]:
+                # r - (r[0] / pivot[0]) * pivot, leading column dropped
+                t = log[neg[r[0]]] - log_pivot
+                r = [
+                    add(x, exp[(log[y] + t) % units]) if y else x
+                    for x, y in zip(r[1:], pivot[1:])
+                ]
+            else:
+                r = r[1:]
+            rest.append(r)
+        rows = rest
+    return True
+
+
 def solve_split_nonzero(
     tables: SubfieldTables,
     rows: Iterable[Sequence[int]],

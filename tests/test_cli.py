@@ -61,6 +61,22 @@ def test_verify_rejects_corrupted_code(tmp_path, capsys):
     assert "gram" in result  # failure report includes the Gram matrix
 
 
+def test_verify_rejects_out_of_range_dlogs(tmp_path, capsys):
+    """Locators 10 and 14 and a multiplier -7 in GF(9) would wrap to
+    locators 2 and 6 and multiplier theta; they are input errors."""
+    out = tmp_path / "code.json"
+    main(["construct", "2", "--q", "3", "--n", "2", "--l", "1",
+          "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["code"]["locators"] = [10, 14]
+    data["code"]["multipliers"][0] = -7
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "discrete log" in captured.err
+
+
 def test_construct_theorem1_and_3(capsys):
     assert main(
         ["construct", "1", "--q", "4", "--e", "3", "--b", "zero", "--n", "4",
@@ -99,6 +115,15 @@ def test_search_positive_and_negative(capsys):
 
 def test_search_bad_token(capsys):
     assert main(["search", "--q", "3", "--locators", "spam"]) == EXIT_INPUT
+    capsys.readouterr()
+
+
+def test_search_rejects_out_of_range_dlog(capsys):
+    """In GF(9) the logs run over 0..7; 9 is not read as theta^1."""
+    assert main(["search", "--q", "3", "--locators", "9", "2"]) == EXIT_INPUT
+    assert main(["search", "--q", "3", "--locators", "-2", "2"]) == EXIT_INPUT
+    assert "discrete log" in capsys.readouterr().err
+    assert main(["search", "--q", "3", "--locators", "-1", "7"]) != EXIT_INPUT
     capsys.readouterr()
 
 

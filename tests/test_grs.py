@@ -1,8 +1,13 @@
 """GRS/EGRS code objects, u-vector identities, and invariants."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import hermgrs
 
 from hermgrs import (
     CodeSpec,
@@ -20,10 +25,19 @@ from hermgrs.errors import (
     DegreeTooHigh,
     DuplicateLocator,
     EnumerationBudgetExceeded,
+    InputError,
 )
+from hermgrs.field import Field
+from hermgrs.grs import _min_weight
 from hermgrs.poly import Poly
 
-from util import get_field, random_code, random_locators
+from util import (
+    get_field,
+    min_distance_oracle,
+    min_weight_oracle,
+    random_code,
+    random_locators,
+)
 
 
 def test_u_vector_two_points():
@@ -166,19 +180,142 @@ def test_min_distance_examples():
 
 
 def test_grs_distance_is_mds_random():
+    """Random plain and extended codes of every dimension whose message
+    space has at most 7000 elements: the distance equals the Element-level
+    oracle and length - k + 1, and is_mds holds."""
     rng = random.Random(403)
-    for _ in range(25):
-        f = get_field(rng.choice((3, 4)))
-        n = rng.randrange(2, 5)
-        k = rng.randrange(1, n + 1)
-        code = CodeSpec(
-            f,
-            random_locators(rng, f, n),
-            tuple(f.element(rng.randrange(1, f.order)) for _ in range(n)),
-            k,
-        )
-        assert min_distance_bruteforce(code) == n - k + 1
-        assert is_mds(code)
+    for q in (2, 3, 4, 5, 7, 8):
+        f = get_field(q)
+        for _ in range(12):
+            n = rng.randrange(1, min(6, f.order) + 1)
+            code = CodeSpec(
+                f,
+                random_locators(rng, f, n),
+                tuple(f.element(rng.randrange(1, f.order)) for _ in range(n)),
+                rng.choice([k for k in range(1, n + 1) if f.order ** k <= 7000]),
+                extended=rng.random() < 0.5,
+            )
+            distance = min_distance_bruteforce(code)
+            assert distance == min_distance_oracle(code) == code.length - code.k + 1
+            assert is_mds(code)
+
+
+def _random_rows(rng, field, k, ncols, kind):
+    """A k x ncols matrix of canonical indices: `random` (about a third of
+    the entries zero), `deficient` (rank below k) or `repeated` (two equal
+    columns, so not MDS when k >= 2)."""
+    rows = [
+        [rng.randrange(field.order) if rng.random() < 0.7 else 0
+         for _ in range(ncols)]
+        for _ in range(k)
+    ]
+    if kind == "deficient":
+        c = field.element(rng.randrange(field.order))
+        rows[-1] = [(c * field.element(v)).value for v in rows[0]]
+    elif kind == "repeated":
+        for row in rows:
+            row[-1] = row[0]
+    return rows
+
+
+def test_min_weight_kernel_matches_oracle_integer_matrices():
+    """Every CodeSpec is MDS, so only matrices like these catch a kernel
+    that returns the designed distance n - k + 1 without enumerating."""
+    rng = random.Random(406)
+    seen = set()
+    for q in (2, 3, 4, 5, 7, 8):
+        f = get_field(q)
+        for kind in ("random", "deficient", "repeated"):
+            for _ in range(6):
+                k = rng.randrange(1, 4)
+                while f.order ** k > 2000:
+                    k -= 1
+                ncols = rng.randrange(max(2, k), 7)
+                rows = _random_rows(rng, f, k, ncols, kind)
+                weight = _min_weight(f, rows)
+                assert weight == min_weight_oracle(f, rows), (q, rows)
+                if k >= 2:
+                    seen.add("zero" if weight == 0 else
+                             "below" if weight < ncols - k + 1 else "mds")
+    assert seen == {"zero", "below", "mds"}
+
+
+def test_min_weight_kernel_without_add_table():
+    """The digit-wise addition used above order 1024, on small fields
+    whose table is removed, against the table-based result."""
+    rng = random.Random(407)
+    for p, m in ((3, 1), (2, 2), (5, 1)):
+        plain = Field(p, m)
+        plain._add_table = None
+        tabled = get_field(p ** m)
+        for kind in ("random", "deficient", "repeated"):
+            for _ in range(5):
+                k = rng.randrange(1, 4)
+                rows = _random_rows(rng, tabled, k, rng.randrange(k, 7), kind)
+                assert _min_weight(plain, rows) == _min_weight(tabled, rows)
+
+
+def test_min_distance_add_table_boundary():
+    """q=32 is the last field with an addition table, q=37 the first
+    without; k=1 keeps the message space within the budget."""
+    rng = random.Random(408)
+    for q, has_table in ((32, True), (37, False)):
+        f = get_field(q)
+        assert (f._add_table is not None) == has_table
+        for extended in (False, True):
+            n = rng.randrange(2, 6)
+            code = CodeSpec(
+                f,
+                random_locators(rng, f, n),
+                tuple(f.element(rng.randrange(1, f.order)) for _ in range(n)),
+                1,
+                extended=extended,
+            )
+            assert min_distance_bruteforce(code) == min_distance_oracle(code)
+            assert is_mds(code)
+
+
+CROSSCHECK_SCRIPT = """
+import sys
+from hermgrs import field_for_q, grs, is_mds
+from hermgrs.constructions import construct_theorem2
+from hermgrs.errors import InternalConsistencyError
+
+code = construct_theorem2(field_for_q(3), 1, 3, extended=True)
+raised = []
+
+def expect_error(label):
+    try:
+        is_mds(code)
+    except InternalConsistencyError:
+        raised.append(label)
+
+kernel, minors = grs._min_weight, grs._is_nonsingular
+grs._min_weight = lambda field, rows: kernel(field, rows) - 1
+expect_error("distance")
+grs._min_weight = kernel
+grs._is_nonsingular = lambda field, rows: False
+expect_error("minors")
+grs._is_nonsingular = minors
+if is_mds(code):
+    raised.append("restored")
+print(sys.flags.optimize, " ".join(raised))
+"""
+
+
+def test_is_mds_crosscheck_survives_optimize():
+    """Under python -O, a distance kernel or a minor test that gives a
+    wrong answer makes is_mds raise InternalConsistencyError."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", CROSSCHECK_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "distance", "minors", "restored"]
 
 
 def test_is_mds_extended():
@@ -200,6 +337,19 @@ def test_json_roundtrip():
             v.value for v in code.multipliers
         ]
         assert back.k == code.k and back.extended == code.extended
+
+
+def test_json_rejects_out_of_range_dlogs():
+    """A log outside 0..q^2-2 (-1..q^2-2 for locators) is an input error,
+    not reduced modulo q^2-1 to name another element."""
+    f = get_field(3)
+    good = code_to_dict(CodeSpec(f, (f.zero, f.one), (f.one, f.theta), 1))
+    code_from_dict(good)
+    for key, value in (("locators", [10, 14]), ("locators", [-2, 0]),
+                       ("multipliers", [-7, 1]), ("multipliers", [-1, 1]),
+                       ("multipliers", [8, 1]), ("multipliers", ["1", 1])):
+        with pytest.raises(InputError):
+            code_from_dict(dict(good, **{key: value}))
 
 
 def test_json_rejects_mismatched_q():

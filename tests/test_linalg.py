@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from hermgrs.errors import EnumerationBudgetExceeded
+from hermgrs.errors import DimensionMismatch, EnumerationBudgetExceeded
 from hermgrs.linalg import (
     Matrix,
+    _is_nonsingular,
     det,
     matvec,
     rref,
@@ -133,6 +134,28 @@ def test_det_multiplicative_random():
             ],
         )
         assert det(prod) == det(m1) * det(m2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 243])
+def test_is_nonsingular_matches_det(q):
+    """The integer minor test against `det`, on random matrices and on
+    singular ones (a row that is a multiple of another)."""
+    rng = random.Random(204 + q)
+    f = get_field(q)
+    verdicts = set()
+    for _ in range(40):
+        size = rng.randrange(1, 6)
+        mat = random_matrix(rng, f, size, size)
+        if size > 1 and rng.random() < 0.4:
+            c = f.element(rng.randrange(f.order))
+            mat.rows[-1] = [c * e for e in mat.rows[0]]
+        rows = [[e.value for e in row] for row in mat.rows]
+        verdict = _is_nonsingular(f, rows)
+        assert verdict == bool(det(mat)), rows
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(DimensionMismatch):
+        _is_nonsingular(f, [[1, 1]])
 
 
 def test_subfield_components():

@@ -3,7 +3,7 @@
 import itertools
 from functools import lru_cache
 
-from hermgrs import CodeSpec, field_for_q, hermitian_gram
+from hermgrs import CodeSpec, encode, field_for_q, hermitian_gram
 from hermgrs.linalg import (
     DEFAULT_COSET_BUDGET,
     Matrix,
@@ -31,6 +31,38 @@ def brute_force_subfield_solutions(mat, b):
         if all((ri - bi).value == 0 for ri, bi in zip(residual, b)):
             out.append(list(x))
     return out
+
+
+def min_distance_oracle(code):
+    """Minimum weight over all nonzero codewords: every nonzero message
+    polynomial, encoded with Element arithmetic."""
+    f = code.field
+    best = code.length
+    for coeff_values in itertools.product(range(f.order), repeat=code.k):
+        if not any(coeff_values):
+            continue
+        msg = Poly(f, [f.element(v) for v in coeff_values])
+        weight = sum(1 for e in encode(code, msg) if e)
+        if weight < best:
+            best = weight
+    return best
+
+
+def min_weight_oracle(field, rows):
+    """Minimum weight of m G over every nonzero message m, for G given as
+    rows of canonical indices, with Element arithmetic (0 when some nonzero
+    m gives the zero word)."""
+    gen = [[field.element(v) for v in row] for row in rows]
+    best = len(rows[0])
+    for coeffs in itertools.product(list(field.elements()), repeat=len(gen)):
+        if not any(coeffs):
+            continue
+        word = [field.zero] * len(rows[0])
+        for c, row in zip(coeffs, gen):
+            if c:
+                word = [w + c * g for w, g in zip(word, row)]
+        best = min(best, sum(1 for e in word if e))
+    return best
 
 
 def null_space(mat):
