@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -230,7 +232,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.codefile) as handle:
         data = json.load(handle)
-    if "code" in data:
+    if isinstance(data, dict) and "code" in data:
         data = data["code"]
     code = code_from_dict(data)
     direct = criterion_direct(code)
@@ -345,9 +347,6 @@ def sweep_conditional_theorem(
     force n <= q+1 (plain) or n <= q (extended).  Every instance is
     recorded; any violation is a counterexample (expected: none).
     """
-    import itertools
-    import math
-
     q = field.q
     bound = q if extended else q + 1
     parity = 1 if extended else 0

@@ -326,6 +326,8 @@ class Field:
     @classmethod
     def from_record(cls, record: str, max_order: int = DEFAULT_MAX_ORDER) -> "Field":
         parts = record.split()
+        if len(parts) < 2:
+            raise InputError(f"field record {record!r} needs at least p and m")
         p, m = int(parts[0]), int(parts[1])
         field = cls(p, m, max_order=max_order)
         coeffs = tuple(int(c) for c in parts[2:])

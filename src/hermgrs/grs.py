@@ -17,6 +17,7 @@ from .errors import (
     DegreeTooHigh,
     DuplicateLocator,
     EnumerationBudgetExceeded,
+    InputError,
     InternalConsistencyError,
 )
 from .field import Element, Field
@@ -262,6 +263,21 @@ def code_to_dict(code: CodeSpec) -> Dict:
 
 
 def code_from_dict(data: Dict) -> CodeSpec:
+    """The code of a `code_to_dict` record; a record that is not an object,
+    lacks a key or holds a value of the wrong type raises InputError."""
+    if not isinstance(data, dict):
+        raise InputError("a code record must be a JSON object")
+    for key, kind in (
+        ("q", int), ("field", str), ("locators", list), ("multipliers", list),
+        ("k", int), ("extended", bool),
+    ):
+        if key not in data:
+            raise InputError(f"code record has no {key!r}")
+        if type(data[key]) is not kind:  # not isinstance: true is no k
+            raise InputError(
+                f"code record {key!r} must be {kind.__name__}, "
+                f"got {type(data[key]).__name__}"
+            )
     f = Field.from_record(data["field"])
     if f.q != data["q"]:
         raise ValueError("field record does not match declared q")
@@ -272,5 +288,5 @@ def code_from_dict(data: Dict) -> CodeSpec:
         locators=locators,
         multipliers=multipliers,
         k=data["k"],
-        extended=bool(data["extended"]),
+        extended=data["extended"],
     )

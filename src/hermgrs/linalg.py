@@ -1,11 +1,18 @@
-"""Dense exact linear algebra over GF(q^2).
+"""Exact linear algebra over GF(q^2) on canonical indices.
 
-Includes the subfield solver at the heart of the existence scans,
-`solve_split_nonzero`: given a system already split into its
-{1, theta}-components over GF(q), it finds a solution whose coordinates all
-lie in GF(q)*, or proves that none exists by exhausting the affine solution
-coset.  `selfdual.PowerSumSystems` does the split and the re-check over
-GF(q^2) (`check_subfield_solution`).
+`Matrix` holds field elements at the API boundary; the routines below work
+on rows of canonical indices through the field's log, exp, negation and
+addition tables.
+
+* `_eliminate` is the one Gaussian elimination over GF(q^2).  The MDS minor
+  test (`_is_nonsingular`) and the span conditions (`_solve`) share it.
+* `_dot` and `_satisfies` re-check a solution by its residual.
+* `solve_split_nonzero` is the subfield solver at the heart of the
+  existence scans: given a system already split into its
+  {1, theta}-components over GF(q), it finds a solution whose coordinates
+  all lie in GF(q)*, or proves that none exists by exhausting the affine
+  solution coset.  `selfdual.PowerSumSystems` does the split and the
+  re-check over GF(q^2) (`check_subfield_solution`).
 """
 
 from __future__ import annotations
@@ -69,99 +76,29 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols},\n{body})"
 
 
-def rref(mat: Matrix) -> Tuple[Matrix, int, List[int]]:
-    """Reduced row-echelon form; returns (R, rank, pivot columns)."""
-    field = mat.field
-    rows = [list(r) for r in mat.rows]
-    nrows, ncols = len(rows), mat.ncols
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(field, rows), len(pivots), pivots
+def _eliminate(
+    field: Field, rows: Sequence[Sequence[int]], width: int
+) -> Tuple[List[Tuple[int, List[int]]], List[List[int]]]:
+    """Gaussian elimination on the first `width` columns of `rows`, a matrix
+    of canonical indices over GF(q^2); any further columns are carried.
 
-
-def solve(mat: Matrix, b: Vector) -> Optional[Vector]:
-    """One particular solution of M x = b (free variables zero), or None."""
-    field = mat.field
-    augmented = Matrix(field, [row + [bi] for row, bi in zip(mat.rows, b)])
-    reduced, rank, pivots = rref(augmented)
-    if mat.ncols in pivots:
-        return None  # inconsistent
-    x = [field.zero] * mat.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.rows[r][mat.ncols]
-    return x
-
-
-def matvec(mat: Matrix, x: Vector) -> Vector:
-    field = mat.field
-    out = []
-    for row in mat.rows:
-        acc = field.zero
-        for a, xi in zip(row, x):
-            if a and xi:
-                acc = acc + a * xi
-        out.append(acc)
-    return out
-
-
-def det(mat: Matrix) -> Element:
-    """Determinant via Gaussian elimination (square matrices only)."""
-    field = mat.field
-    n = mat.nrows
-    if n != mat.ncols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    rows = [list(r) for r in mat.rows]
-    result = field.one
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result = result * rows[c][c]
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = rows[i][c] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return result
-
-
-def _is_nonsingular(field: Field, rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the square matrix of canonical indices `rows` has nonzero
-    determinant, by the elimination `det` does, without the determinant.
-
-    Each step takes the first row with a nonzero leading entry as pivot,
-    clears the leading column of the other rows and drops that column and
-    the pivot row; a column with no nonzero entry left means singular.
-    Multiplication runs through the log tables.
+    Each step takes the first remaining row with a nonzero entry in the
+    column as pivot, clears that column in the other rows and drops it; a
+    column with no nonzero entry left is free.  Returns (pivots, rest):
+    pivots lists (column, pivot row from that column on, pivot entry first,
+    not normalised) in increasing column order, and rest the rows left
+    without a pivot, from column `width` on.  Multiplication runs through
+    the log tables.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("nonsingularity test needs a square matrix")
     exp, log, neg, add = field._exp, field._log, field._neg_table, field._add_idx
     units = field.order - 1
     rows = list(rows)
-    while rows:
+    pivots = []
+    for c in range(width):
         p = next((i for i, r in enumerate(rows) if r[0]), None)
         if p is None:
-            return False
+            rows = [r[1:] for r in rows]
+            continue
         pivot = rows.pop(p)
         log_pivot = log[pivot[0]]
         rest = []
@@ -176,8 +113,65 @@ def _is_nonsingular(field: Field, rows: Sequence[Sequence[int]]) -> bool:
             else:
                 r = r[1:]
             rest.append(r)
+        pivots.append((c, pivot))
         rows = rest
-    return True
+    return pivots, rows
+
+
+def _is_nonsingular(field: Field, rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the square matrix of canonical indices `rows` has full rank:
+    a pivot in every column of `_eliminate`."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("nonsingularity test needs a square matrix")
+    return len(_eliminate(field, rows, n)[0]) == n
+
+
+def _solve(
+    field: Field, rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
+) -> List[Optional[List[int]]]:
+    """For each target b, the solution x of A x = b whose free coordinates
+    are zero, or None when A x = b is inconsistent.  A (`rows`) and each b
+    hold canonical indices; one elimination of A serves every target.
+
+    The pivot columns are the first columns independent of those before
+    them, so x is the one that reduced row-echelon form would give.
+    """
+    width = len(rows[0]) if rows else 0
+    augmented = [list(row) + [b[i] for b in targets] for i, row in enumerate(rows)]
+    pivots, rest = _eliminate(field, augmented, width)
+    exp, log, neg, add = field._exp, field._log, field._neg_table, field._add_idx
+    units = field.order - 1
+    solutions = []
+    for k in range(len(targets)):
+        if any(r[k] for r in rest):
+            solutions.append(None)
+            continue
+        x = [0] * width
+        for c, row in reversed(pivots):
+            # back substitution: x_c = (b - sum_{j > c} a_j x_j) / a_c
+            acc = add(row[width - c + k], neg[_dot(field, row[1 : width - c], x[c + 1 :])])
+            x[c] = exp[(log[acc] - log[row[0]]) % units] if acc else 0
+        solutions.append(x)
+    return solutions
+
+
+def _dot(field: Field, row: Sequence[int], x: Sequence[int]) -> int:
+    """sum_j row[j] * x[j] over GF(q^2), on canonical indices."""
+    exp, log, add = field._exp, field._log, field._add_idx
+    units = field.order - 1
+    acc = 0
+    for a, b in zip(row, x):
+        if a and b:
+            acc = add(acc, exp[(log[a] + log[b]) % units])
+    return acc
+
+
+def _satisfies(
+    field: Field, rows: Sequence[Sequence[int]], x: Sequence[int], b: Sequence[int]
+) -> bool:
+    """Whether A x = b, by integer dot products (the residual re-check)."""
+    return all(_dot(field, row, x) == bi for row, bi in zip(rows, b))
 
 
 def solve_split_nonzero(
@@ -258,5 +252,6 @@ def check_subfield_solution(mat: Matrix, b: Vector, x: Vector) -> None:
     field = mat.field
     if not all(xi and field.in_subfield(xi) for xi in x):
         raise InternalConsistencyError("subfield solution has a coordinate outside GF(q)*")
-    if any((ri - bi).value for ri, bi in zip(matvec(mat, x), b)):
+    rows = [[e.value for e in row] for row in mat.rows]
+    if not _satisfies(field, rows, [xi.value for xi in x], [bi.value for bi in b]):
         raise InternalConsistencyError("subfield solution failed its residual check")

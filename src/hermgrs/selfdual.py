@@ -26,9 +26,9 @@ from .grs import CodeSpec, hermitian_gram, u_vector
 from .linalg import (
     DEFAULT_COSET_BUDGET,
     Matrix,
+    _satisfies,
+    _solve,
     check_subfield_solution,
-    matvec,
-    solve,
     solve_split_nonzero,
 )
 from .poly import interpolate
@@ -86,18 +86,7 @@ def criterion_lemma1(code: CodeSpec) -> bool:
     """
     if code.extended:
         raise DimensionMismatch("plain-code criterion applied to an extended code")
-    _check_shape(code)
-    f = code.field
-    u = u_vector(code.locators)
-    for j in range(code.k):
-        points = []
-        for a, v, ui in zip(code.locators, code.multipliers, u):
-            target = f.norm(v) * f.pow(f.frobenius(a), j) / ui
-            points.append((a, target))
-        g = interpolate(f, points)
-        if g.degree > code.k - 1:
-            return False
-    return True
+    return _witness_criterion(code)
 
 
 def criterion_lemma2(code: CodeSpec) -> bool:
@@ -108,29 +97,35 @@ def criterion_lemma2(code: CodeSpec) -> bool:
     """
     if not code.extended:
         raise DimensionMismatch("extended-code criterion applied to a plain code")
+    return _witness_criterion(code)
+
+
+def _witness_criterion(code: CodeSpec) -> bool:
+    """The interpolation loop of `criterion_lemma1`/`criterion_lemma2`; an
+    extended code also gets the top-coefficient test."""
     _check_shape(code)
     f = code.field
     u = u_vector(code.locators)
     for j in range(code.k):
-        points = []
-        for a, v, ui in zip(code.locators, code.multipliers, u):
-            target = f.norm(v) * f.pow(f.frobenius(a), j) / ui
-            points.append((a, target))
-        g = interpolate(f, points)
+        g = interpolate(f, [
+            (a, f.norm(v) * f.pow(f.frobenius(a), j) / ui)
+            for a, v, ui in zip(code.locators, code.multipliers, u)
+        ])
         if g.degree > code.k - 1:
             return False
-        top = g.coefficient(code.k - 1)
-        required = -f.one if j == code.k - 1 else f.zero
-        if top.value != required.value:
-            return False
+        if code.extended:
+            required = f.minus_one if j == code.k - 1 else f.zero
+            if g.coefficient(code.k - 1).value != required.value:
+                return False
     return True
 
 
-def _locator_power(f: Field, a: Element, e: int) -> Element:
-    # 0^0 = 1; exponents reduced mod q^2-1 only for nonzero locators
+def _locator_power(field: Field, a: int, e: int) -> int:
+    """a^e for the canonical index a, as a canonical index.  0^0 = 1; the
+    exponent is reduced mod q^2-1 only for a nonzero locator."""
     if not a:
-        return f.one if e == 0 else f.zero
-    return f.from_dlog(f.dlog(a) * e)
+        return 1 if e == 0 else 0
+    return field._exp[field._log[a] * e % (field.order - 1)]
 
 
 def _grid_exponents(q: int, n: int, extended: bool) -> List[int]:
@@ -164,7 +159,8 @@ def build_criterion_matrix(
     _check_distinct(locators)
     exponents = _grid_exponents(field.q, len(locators), extended)
     rows = [
-        [_locator_power(field, a, e) for a in locators] for e in exponents
+        [Element(field, _locator_power(field, a.value, e)) for a in locators]
+        for e in exponents
     ]
     rhs = [field.zero] * len(rows)
     if extended:
@@ -198,7 +194,7 @@ class PowerSumSystems:
         column = self._columns.get(a.value)
         if column is None:
             column = self._columns[a.value] = self.tables.split_vector(
-                _locator_power(self.field, a, e).value for e in self.exponents
+                _locator_power(self.field, a.value, e) for e in self.exponents
             )
         return column
 
@@ -252,51 +248,36 @@ def _span_membership(
     span_exponents: Sequence[int],
     target_exponents: Sequence[int],
 ) -> SpanConditionResult:
-    span_vectors = [
-        [_locator_power(field, a, e) for a in locators] for e in span_exponents
-    ]
-    # columns = spanning vectors, one equation per locator position
-    columns = Matrix(field, [list(col) for col in zip(*span_vectors)]) if span_vectors else None
-    for te in target_exponents:
-        target = [_locator_power(field, a, te) for a in locators]
-        if columns is None:
-            if all(not t for t in target):
-                return SpanConditionResult(True, te, [])
-            continue
-        coeffs = solve(columns, target)
-        if coeffs is not None:
-            combo = matvec(columns, coeffs)
-            if any((c - t).value for c, t in zip(combo, target)):
+    """Whether a target power vector lies in the span of the power vectors
+    of `span_exponents`: the first target that does, with its coefficients
+    as witness.  One elimination serves every target, and a witness is
+    re-checked by its residual."""
+    values = [a.value for a in locators]
+    # one equation per locator position, one unknown per spanning vector
+    rows = [[_locator_power(field, a, e) for e in span_exponents] for a in values]
+    targets = [[_locator_power(field, a, te) for a in values] for te in target_exponents]
+    for te, target, x in zip(target_exponents, targets, _solve(field, rows, targets)):
+        if x is not None:
+            if not _satisfies(field, rows, x, target):
                 raise InternalConsistencyError("span witness failed its residual check")
-            return SpanConditionResult(True, te, coeffs)
+            return SpanConditionResult(True, te, [Element(field, v) for v in x])
     return SpanConditionResult(False)
 
 
 def span_condition_plain(field: Field, locators: Sequence[Element]) -> SpanConditionResult:
     """Membership of alpha^(n/2+q) or alpha^((n/2)q+1) in the span of the
     half-grid power vectors (n even)."""
-    n = len(locators)
-    if n % 2:
-        raise DimensionMismatch("plain span condition needs even n")
-    q = field.q
-    half = n // 2
-    span_exponents = [i + j * q for j in range(half) for i in range(half)]
-    targets = [half + q, half * q + 1]
-    return _span_membership(field, locators, span_exponents, targets)
+    span_exponents = _grid_exponents(field.q, len(locators), False)
+    half, q = len(locators) // 2, field.q
+    return _span_membership(field, locators, span_exponents, [half + q, half * q + 1])
 
 
 def span_condition_extended(field: Field, locators: Sequence[Element]) -> SpanConditionResult:
     """Membership of alpha^((n+1)/2) or alpha^(((n+1)/2)q) in the span of
-    the truncated grid (n odd; the last block stops one exponent early)."""
-    n = len(locators)
-    if n % 2 == 0:
-        raise DimensionMismatch("extended span condition needs odd n")
-    q = field.q
-    h = (n - 1) // 2
-    span_exponents = [i + j * q for j in range(h) for i in range(h + 1)]
-    span_exponents += [h * q + i for i in range(h)]
-    targets = [(n + 1) // 2, ((n + 1) // 2) * q]
-    return _span_membership(field, locators, span_exponents, targets)
+    the grid power vectors without the last, alpha^(((n-1)/2)(q+1)) (n odd)."""
+    span_exponents = _grid_exponents(field.q, len(locators), True)[:-1]
+    side = (len(locators) + 1) // 2
+    return _span_membership(field, locators, span_exponents, [side, side * field.q])
 
 
 # ----- existence scans -----

@@ -28,13 +28,13 @@ from hermgrs import (
     u_vector,
 )
 from hermgrs.cli import sweep_conditional_theorem
-from hermgrs.linalg import matvec
 from hermgrs.poly import Poly
 
 from util import (
     brute_force_multiplier_exists,
     brute_force_subfield_solutions,
     get_field,
+    matvec,
     random_code,
     random_element,
     random_locators,

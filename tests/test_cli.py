@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from hermgrs.cli import main
 from hermgrs.errors import InternalConsistencyError
 from hermgrs.selfdual import PowerSumSystems
@@ -75,6 +77,44 @@ def test_verify_rejects_out_of_range_dlogs(tmp_path, capsys):
     assert main(["verify", str(out), "--json"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and "discrete log" in captured.err
+
+
+def _break_key(key, value):
+    def edit(data):
+        data["code"][key] = value
+        return data
+    return edit
+
+
+def _drop_key(key):
+    def edit(data):
+        del data["code"][key]
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_break_key("k", "2"), "'k' must be int, got str"),
+        (_drop_key("locators"), "no 'locators'"),
+        (_break_key("field", ""), "needs at least p and m"),
+        (_break_key("locators", 7), "'locators' must be list, got int"),
+        (lambda data: [data], "JSON object"),
+    ],
+    ids=["k-string", "no-locators", "empty-field", "locators-int", "top-level-list"],
+)
+def test_verify_malformed_file_is_input_error(tmp_path, capsys, edit, message):
+    """A code file of the wrong shape exits 2 with a message, not with a
+    traceback or exit 1 (the "not self-dual" code)."""
+    out = tmp_path / "code.json"
+    main(["construct", "2", "--q", "3", "--n", "2", "--l", "1",
+          "--out", str(out)])
+    out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_construct_theorem1_and_3(capsys):

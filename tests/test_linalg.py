@@ -5,21 +5,18 @@ import random
 import pytest
 
 from hermgrs.errors import DimensionMismatch, EnumerationBudgetExceeded
-from hermgrs.linalg import (
-    Matrix,
-    _is_nonsingular,
-    det,
-    matvec,
-    rref,
-    solve,
-)
+from hermgrs.linalg import Matrix, _eliminate, _is_nonsingular, _solve
 
 from util import (
     brute_force_subfield_solutions,
+    det,
     get_field,
+    matvec,
     null_space,
     oracle_subfield_solve,
     random_matrix,
+    rref,
+    solve,
     solve_subfield,
     split_columns,
     split_to_subfield,
@@ -156,6 +153,40 @@ def test_is_nonsingular_matches_det(q):
     assert verdicts == {True, False}
     with pytest.raises(DimensionMismatch):
         _is_nonsingular(f, [[1, 1]])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 243])
+def test_integer_elimination_matches_rref(q):
+    """`_eliminate`'s rank and `_solve`'s solutions against the Element
+    `rref` and `solve`, on random matrices, on singular ones (a row that is
+    a multiple of another, a zero column) and with 0 columns, each with a
+    consistent and a random right-hand side."""
+    rng = random.Random(207 + q)
+    f = get_field(q)
+    seen = {"singular": 0, "inconsistent": 0, "free column": 0}
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(0, 6)
+        mat = random_matrix(rng, f, nrows, ncols)
+        if nrows > 1 and rng.random() < 0.4:
+            c = f.element(rng.randrange(f.order))
+            mat.rows[-1] = [c * e for e in mat.rows[0]]
+        if ncols and rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in mat.rows:
+                row[j] = f.zero
+        rows = [[e.value for e in row] for row in mat.rows]
+        _, rank, pivots = rref(mat)
+        assert [col for col, _ in _eliminate(f, rows, ncols)[0]] == pivots
+        consistent = matvec(mat, [f.element(rng.randrange(f.order)) for _ in range(ncols)])
+        random_rhs = [f.element(rng.randrange(f.order)) for _ in range(nrows)]
+        targets = [[e.value for e in b] for b in (consistent, random_rhs)]
+        for b, x in zip((consistent, random_rhs), _solve(f, rows, targets)):
+            expected = solve(mat, b)
+            assert x == (None if expected is None else [e.value for e in expected])
+            seen["inconsistent"] += x is None
+        seen["singular"] += rank < min(nrows, ncols)
+        seen["free column"] += rank < ncols
+    assert all(seen.values()), seen
 
 
 def test_subfield_components():

@@ -22,15 +22,18 @@ from hermgrs import (
     span_condition_plain,
 )
 from hermgrs.errors import DimensionMismatch, DuplicateLocator
-from hermgrs.linalg import rref
 from hermgrs.selfdual import ScanEntry, ScanReport
 
 from util import (
     brute_force_multiplier_exists,
     get_field,
+    matvec,
     oracle_subfield_solve,
     random_code,
     random_locators,
+    rref,
+    span_condition_oracle,
+    span_system,
 )
 
 
@@ -235,6 +238,31 @@ def test_span_condition_parity_errors():
         span_condition_extended(f, (f.one, f.theta))
 
 
+@pytest.mark.parametrize("q, max_n", [(2, 4), (3, 9), (4, 4)])
+def test_span_condition_matches_element_oracle(q, max_n):
+    """The integer span path against the Element-level `solve`, on every
+    subset of GF(q^2) up to max_n locators: plain at even n, extended at odd
+    n.  The pool holds zero, and n = 1 extended has an empty span, so only
+    the zero vector lies in it."""
+    f = get_field(q)
+    pool = list(f.elements())
+    seen = set()
+    for n in range(1, max_n + 1):
+        extended = n % 2 == 1
+        condition = span_condition_extended if extended else span_condition_plain
+        for subset in itertools.combinations(pool, n):
+            result = condition(f, subset)
+            holds, target_exponent, witness = span_condition_oracle(f, subset, extended)
+            assert (result.holds, result.target_exponent) == (holds, target_exponent), subset
+            if holds:
+                assert [e.value for e in result.witness] == [e.value for e in witness]
+                columns, targets = span_system(f, subset, extended)
+                residual = matvec(columns, result.witness)
+                assert residual == dict(targets)[target_exponent], subset
+            seen.add((extended, holds))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_existence_scan_counts_q3():
     f = get_field(3)
     report = existence_scan(f, 2, list(f.elements()))
@@ -340,6 +368,20 @@ expect_error("residual", lambda: check_subfield_solution(Matrix(f, [[f.one, f.on
 expect_error("residual-search", lambda: find_multipliers(f, (f.zero, f.theta ** 2)))
 linalg.solve_split_nonzero = selfdual.solve_split_nonzero = kernel
 
+solve = selfdual._solve
+
+def corrupted_span(field, rows, targets):
+    solutions = solve(field, rows, targets)
+    for x in solutions:
+        if x:
+            x[0] = field._add_idx(x[0], 1)  # no longer a solution
+    return solutions
+
+selfdual._solve = corrupted_span
+subgroup = sorted(f.norm_one_subgroup(), key=lambda a: a.value)
+expect_error("span", lambda: selfdual.span_condition_plain(f, tuple(subgroup[:2])))
+selfdual._solve = solve
+
 solve_norm = Field.solve_norm
 Field.solve_norm = lambda self, c: self.theta * solve_norm(self, c)
 expect_error("gram", lambda: find_multipliers(f, (f.zero,), extended=True))
@@ -350,8 +392,8 @@ print(sys.flags.optimize, " ".join(raised))
 
 
 def test_consistency_checks_survive_optimize():
-    """Under python -O, a corrupted kernel solution and a wrong norm
-    preimage still raise InternalConsistencyError."""
+    """Under python -O, a corrupted kernel solution, a corrupted span
+    witness and a wrong norm preimage still raise InternalConsistencyError."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrs.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -361,4 +403,4 @@ def test_consistency_checks_survive_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["1", "residual", "residual-search", "gram"]
+    assert result.stdout.split() == ["1", "residual", "residual-search", "span", "gram"]

@@ -1,16 +1,17 @@
-"""Shared helpers and independent brute-force oracles for the test suite."""
+"""Shared helpers and independent brute-force oracles for the test suite.
+
+`rref`, `solve`, `matvec` and `det` are the Element-level linear algebra the
+library's integer elimination is compared against."""
 
 import itertools
 from functools import lru_cache
 
 from hermgrs import CodeSpec, encode, field_for_q, hermitian_gram
+from hermgrs.errors import DimensionMismatch
 from hermgrs.linalg import (
     DEFAULT_COSET_BUDGET,
     Matrix,
     check_subfield_solution,
-    matvec,
-    rref,
-    solve,
     solve_split_nonzero,
 )
 from hermgrs.poly import Poly
@@ -63,6 +64,83 @@ def min_weight_oracle(field, rows):
                 word = [w + c * g for w, g in zip(word, row)]
         best = min(best, sum(1 for e in word if e))
     return best
+
+
+def rref(mat):
+    """Reduced row-echelon form with Element arithmetic; returns
+    (R, rank, pivot columns)."""
+    field = mat.field
+    rows = [list(r) for r in mat.rows]
+    nrows, ncols = len(rows), mat.ncols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(field, rows), len(pivots), pivots
+
+
+def solve(mat, b):
+    """One particular solution of M x = b (free variables zero) by `rref`
+    of the augmented matrix, or None."""
+    field = mat.field
+    augmented = Matrix(field, [row + [bi] for row, bi in zip(mat.rows, b)])
+    reduced, rank, pivots = rref(augmented)
+    if mat.ncols in pivots:
+        return None  # inconsistent
+    x = [field.zero] * mat.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced.rows[r][mat.ncols]
+    return x
+
+
+def matvec(mat, x):
+    """M x with Element arithmetic."""
+    field = mat.field
+    out = []
+    for row in mat.rows:
+        acc = field.zero
+        for a, xi in zip(row, x):
+            if a and xi:
+                acc = acc + a * xi
+        out.append(acc)
+    return out
+
+
+def det(mat):
+    """Determinant by Gaussian elimination with Element arithmetic."""
+    field = mat.field
+    n = mat.nrows
+    if n != mat.ncols:
+        raise DimensionMismatch("determinant needs a square matrix")
+    rows = [list(r) for r in mat.rows]
+    result = field.one
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result = result * rows[c][c]
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                factor = rows[i][c] * inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return result
 
 
 def null_space(mat):
@@ -158,6 +236,39 @@ def oracle_subfield_solve(mat, b):
         if best_key is None or key < best_key:
             best, best_key = x, key
     return best, len(basis)
+
+
+def span_system(field, locators, extended):
+    """The span conditions' data with Element arithmetic: the matrix whose
+    columns are the grid power vectors, and (exponent, power vector) for
+    each target in the order they are tried."""
+    q, n = field.q, len(locators)
+    if extended:
+        h = (n - 1) // 2
+        span = [i + j * q for j in range(h) for i in range(h + 1)]
+        span += [h * q + i for i in range(h)]
+        targets = [h + 1, (h + 1) * q]
+    else:
+        half = n // 2
+        span = [i + j * q for j in range(half) for i in range(half)]
+        targets = [half + q, half * q + 1]
+
+    def power(a, e):  # 0^0 = 1
+        return field.from_dlog(field.dlog(a) * e) if a else (field.zero if e else field.one)
+
+    columns = Matrix(field, [[power(a, e) for e in span] for a in locators])
+    return columns, [(te, [power(a, te) for a in locators]) for te in targets]
+
+
+def span_condition_oracle(field, locators, extended):
+    """(holds, target exponent, witness) for the first target in the span,
+    by `solve` on one target at a time."""
+    columns, targets = span_system(field, locators, extended)
+    for te, target in targets:
+        x = solve(columns, target)
+        if x is not None:
+            return True, te, x
+    return False, None, None
 
 
 def brute_force_multiplier_exists(field, locators, extended=False):
